@@ -1,23 +1,22 @@
 // Command dmgateway serves the data market through the concurrent market
-// engine: the async front end of the DMMS. Unlike cmd/dmmsd — which calls
-// the platform inline and clears the market only when a client POSTs /match —
-// dmgateway accepts submissions from many clients into sharded intake
-// queues, batches them into epochs (ticker- or threshold-triggered), runs
-// one arbiter matching round per epoch, and publishes every outcome on an
-// append-only event log that clients poll via /events, /async/tickets/{id}
-// and /settlements.
+// engine: the DMMS as a network service. It accepts submissions from many
+// clients into sharded intake queues, batches them into epochs (ticker- or
+// threshold-triggered), runs one arbiter matching round per epoch, and
+// publishes every outcome on an append-only event log that clients poll via
+// /events, /async/tickets/{id} and /settlements.
+//
+// The market is always a federation (internal/federation) of -shards N
+// arbiter shards, each a full platform + engine + WAL lineage, running
+// their epochs concurrently behind a router; mashups spanning shards settle
+// through the cross-shard coordinator's two-phase commit. -shards 1 (the
+// default) is the single-arbiter market: bare ticket IDs, unlabeled
+// metrics, and its WAL lineage directly in -wal-dir.
 //
 // With -wal-dir the event log is durable: every event is written ahead to a
 // segmented, checksummed WAL (fsync policy via -fsync), boot replays the log
 // (resuming from the newest snapshot when one exists), POST /snapshot writes
 // a checkpoint on demand, and -snapshot-on-drain writes one during shutdown.
-//
-// With -shards N (N > 1) the market itself federates (internal/federation):
-// N arbiter shards — each a full platform + engine + WAL lineage under
-// <wal-dir>/shard-<i> — run their epochs concurrently behind a router, and
-// mashups spanning shards settle through the cross-shard coordinator's
-// two-phase commit. -shards 1 (the default) is the classic single-arbiter
-// gateway, byte-identical to previous releases' replay fingerprints.
+// Every checkpoint prunes the WAL behind the newest two snapshots.
 //
 // Usage:
 //
@@ -121,7 +120,7 @@ func (q quotaOverrideFlag) toConfig(epoch time.Duration) map[string]engine.Quota
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	design := flag.String("design", "posted-baseline", "market design label")
-	shards := flag.Int("shards", 1, "arbiter shards: >1 federates the market — N catalogs, ledgers and WAL lineages with parallel epochs and cross-shard 2PC settlement; 1 = classic single-arbiter gateway")
+	shards := flag.Int("shards", 1, "arbiter shards: N catalogs, ledgers and WAL lineages with parallel epochs and cross-shard 2PC settlement; 1 = single-arbiter market")
 	intakeShards := flag.Int("intake-shards", 8, "intake queue shards per engine")
 	epoch := flag.Duration("epoch", 250*time.Millisecond, "epoch ticker period (0 = threshold/manual only)")
 	batch := flag.Int("batch", 64, "pending submissions that trigger an early epoch (0 = off)")
@@ -129,8 +128,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "write-ahead log directory (empty = in-memory only, no durability)")
 	fsync := flag.String("fsync", "epoch", "WAL fsync policy: always | epoch | off")
 	segBytes := flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
-	snapOnDrain := flag.Bool("snapshot-on-drain", true, "write a snapshot after draining the engine on shutdown (needs -wal-dir)")
-	pruneOnSnap := flag.Bool("prune-on-snapshot", true, "remove WAL segments fully covered by a written snapshot")
+	snapOnDrain := flag.Bool("snapshot-on-drain", true, "checkpoint every shard during shutdown, after a final flush epoch (needs -wal-dir)")
 	policyName := flag.String("policy", "fifo", "matching policy: fifo | priority | aging")
 	ageBoost := flag.Float64("age-boost", 1, "aging policy: score added per epoch an open request waits")
 	epochCap := flag.Int("epoch-cap", 0, "max open requests admitted into each matching round (0 = all)")
@@ -139,7 +137,7 @@ func main() {
 	admitCap := flag.Int("admit-cap", 0, "global requests admitted per epoch window; excess get 429 (0 = unlimited)")
 	maxPending := flag.Int("max-pending", 0, "queue-depth backpressure: reject submissions while this many are queued (0 = unlimited)")
 	dodWorkers := flag.Int("dod-workers", 0, "async DoD builder pool size: mashup builds run on this many workers so epochs only price pre-built candidates (0 = build inline in the round)")
-	metrics := flag.Bool("metrics", true, "serve Prometheus telemetry on GET /metrics (engine, builder pool, WAL, arbiter and HTTP families)")
+	metrics := flag.Bool("metrics", true, "serve Prometheus telemetry on GET /metrics (engine, builder pool, WAL, arbiter, federation and HTTP families)")
 	cacheEntries := flag.Int("dod-cache-entries", 0, "max cached DoD candidate sets; stale-first, cost-weighted eviction beyond it (0 = unlimited)")
 	buildDeadline := flag.Duration("build-deadline", 0, "per-want-group DoD build deadline: a build outrunning it resolves as failed for the round (the group retries next epoch) instead of wedging a worker or the epoch (0 = unbounded)")
 	allocExactMax := flag.Int("allocator-exact-max", 0, "replace the design's revenue allocator with adaptive Shapley: exact enumeration up to this many contributing datasets, confidence-bounded permutation sampling above (0 = keep the design's allocator)")
@@ -163,125 +161,64 @@ func main() {
 	if *metrics {
 		reg = obs.NewRegistry()
 	}
-	cfg := engine.Config{
-		Shards:         *intakeShards,
-		EpochEvery:     *epoch,
-		BatchThreshold: *batch,
-		Policy:         policy,
-		EpochMatchCap:  *epochCap,
-		DoDWorkers:     *dodWorkers,
-		BuildDeadline:  *buildDeadline,
-		Metrics:        reg,
-		Admission: engine.AdmissionConfig{
-			QuotaPerEpoch:   quotaPerEpoch,
-			QuotaBurst:      *quotaBurst,
-			Overrides:       overrides.toConfig(*epoch),
-			EpochRequestCap: *admitCap,
-			MaxPending:      *maxPending,
+	fcfg := federation.Config{
+		Shards:       *shards,
+		Dir:          *walDir,
+		SegmentBytes: *segBytes,
+		Metrics:      reg,
+		Platform:     core.Options{Design: *design},
+		Engine: engine.Config{
+			Shards:         *intakeShards,
+			EpochEvery:     *epoch,
+			BatchThreshold: *batch,
+			Policy:         policy,
+			EpochMatchCap:  *epochCap,
+			DoDWorkers:     *dodWorkers,
+			BuildDeadline:  *buildDeadline,
+			Admission: engine.AdmissionConfig{
+				QuotaPerEpoch:   quotaPerEpoch,
+				QuotaBurst:      *quotaBurst,
+				Overrides:       overrides.toConfig(*epoch),
+				EpochRequestCap: *admitCap,
+				MaxPending:      *maxPending,
+			},
 		},
 	}
-
-	platOpts := core.Options{Design: *design}
 	if *allocExactMax > 0 {
-		platOpts.Allocator = market.AdaptiveShapley{ExactMax: *allocExactMax, TargetErr: *allocErr}
+		fcfg.Platform.Allocator = market.AdaptiveShapley{ExactMax: *allocExactMax, TargetErr: *allocErr}
 	}
-
-	// A multi-shard market takes the federated path: N arbiter shards behind
-	// the routing surface, each with its own WAL lineage. -shards 1 stays on
-	// the classic single-engine path below, byte-identical to prior releases.
-	if *shards > 1 {
-		runFederated(*addr, *shards, cfg, platOpts, reg,
-			*walDir, *fsync, *segBytes, *snapOnDrain, *cacheEntries, *verbose)
-		return
-	}
-
-	var (
-		p   *core.Platform
-		eng *engine.Engine
-		w   *wal.Log
-	)
 	if *walDir != "" {
-		syncPolicy, perr := wal.ParseSyncPolicy(*fsync)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		var res wal.BootResult
-		p, eng, w, res, err = wal.Boot(platOpts, cfg,
-			wal.Options{Dir: *walDir, Policy: syncPolicy, SegmentBytes: *segBytes, Metrics: reg})
-		if err != nil {
-			log.Fatalf("dmgateway: WAL boot: %v", err)
-		}
-		log.Printf("dmgateway: WAL %s: recovered %d events (snapshot seq %d, replayed %d), fsync=%s",
-			*walDir, res.Recovered, res.FromSnapshotSeq, res.Replayed, syncPolicy)
-	} else {
-		p, err = core.NewPlatform(platOpts)
-		if err != nil {
+		if fcfg.Sync, err = wal.ParseSyncPolicy(*fsync); err != nil {
 			log.Fatal(err)
 		}
-		eng = engine.New(p, cfg)
 	}
-	if *cacheEntries > 0 {
-		p.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: *cacheEntries})
+	m, err := federation.Open(fcfg)
+	if err != nil {
+		log.Fatalf("dmgateway: boot: %v", err)
 	}
-	eng.Start()
+	for _, sh := range m.Shards() {
+		if sh.WAL != nil {
+			log.Printf("dmgateway: WAL %s: recovered %d events (snapshot seq %d, replayed %d), fsync=%s",
+				sh.Dir, sh.Boot.Recovered, sh.Boot.FromSnapshotSeq, sh.Boot.Replayed, fcfg.Sync)
+		}
+		if *cacheEntries > 0 {
+			sh.Platform.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: *cacheEntries})
+		}
+	}
+	m.Start()
 
-	// Metrics subscriber: tail the event log and surface epoch summaries —
-	// the same consumption pattern settlement uses internally.
+	// Metrics subscriber: tail each shard's event log and surface epoch
+	// summaries — the same consumption pattern settlement uses internally.
 	if *verbose {
-		// Tail from the boot-time head: replayed history was already
-		// logged in its first life.
-		bootHead := eng.Log().LastSeq()
-		go func() {
-			cursor := bootHead
-			for {
-				evs, open := eng.Log().WaitAfter(cursor)
-				for _, ev := range evs {
-					cursor = ev.Seq
-					switch ev.Kind {
-					case engine.EventEpochEnd:
-						log.Printf("epoch %d: %s", ev.Epoch, ev.Note)
-					case engine.EventTxSettled:
-						log.Printf("epoch %d: %s settled for %.2f (%s)", ev.Epoch, ev.TxID, ev.Price, ev.Participant)
-					}
-				}
-				if !open {
-					return
-				}
-			}
-		}()
+		for _, sh := range m.Shards() {
+			go tailEpochs(sh, m.NumShards() > 1)
+		}
 	}
 
-	server := dmms.NewEngineServer(p, eng)
+	server := dmms.NewMarketServer(m)
 	if reg != nil {
 		server.SetMetrics(reg)
 	}
-	// Prune keeps the newest two checkpoints (the older one is the
-	// corruption fallback) and drops segments + snapshots behind them.
-	pruneAfterSnapshot := func() {
-		if !*pruneOnSnap {
-			return
-		}
-		if segs, snaps, err := wal.PruneAfterSnapshot(*walDir, w); err != nil {
-			log.Printf("dmgateway: WAL prune: %v", err)
-		} else if segs > 0 || snaps > 0 {
-			log.Printf("dmgateway: pruned %d covered WAL segment(s) and %d old snapshot(s)", segs, snaps)
-		}
-	}
-	if w != nil {
-		dir := *walDir
-		server.SetSnapshotFunc(func() (string, int, error) {
-			snap, err := eng.Snapshot()
-			if err != nil {
-				return "", 0, err
-			}
-			path, err := wal.WriteSnapshot(dir, snap)
-			if err == nil {
-				pruneAfterSnapshot()
-			}
-			return path, snap.TakenAtSeq, err
-		})
-	}
-
 	srv := &http.Server{Addr: *addr, Handler: server}
 	done := make(chan struct{})
 	exitCode := 0
@@ -290,50 +227,34 @@ func main() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig
-		// Stop accepting submissions first, then drain the engine — the
+		// Stop accepting submissions first, then drain the engines — the
 		// other order would hand out tickets no epoch will ever run.
 		log.Print("dmgateway: shutting down HTTP")
 		_ = srv.Shutdown(context.Background())
-		log.Print("dmgateway: draining engine")
-		eng.Stop()
-		if w != nil {
-			if *snapOnDrain {
-				writeDrain := func() error {
-					snap, err := eng.Snapshot()
-					if err != nil {
-						return err
-					}
-					path, err := wal.WriteSnapshot(*walDir, snap)
-					if err != nil {
-						return err
-					}
-					log.Printf("dmgateway: drain snapshot %s (seq %d)", path, snap.TakenAtSeq)
-					pruneAfterSnapshot()
-					return nil
+		if *walDir != "" && *snapOnDrain {
+			// Flush whatever intake still holds into a final epoch, then
+			// checkpoint every shard (SnapshotAll prunes behind each).
+			m.TriggerEpoch()
+			if err := drainSnapshot(m); err != nil {
+				// A refused checkpoint must not be silently lost: retry once
+				// after a flush epoch and exit nonzero if it still cannot be
+				// written, so supervisors see the failed drain. A wedged WAL
+				// stays wedged and reaches the nonzero exit.
+				log.Printf("dmgateway: drain snapshot refused: %v; retrying after a flush epoch", err)
+				m.TriggerEpoch()
+				if err := drainSnapshot(m); err != nil {
+					log.Printf("dmgateway: drain snapshot failed after retry: %v", err)
+					exitCode = 1
 				}
-				if err := writeDrain(); err != nil {
-					// A refused checkpoint must not be silently lost: retry
-					// once after a flush epoch and exit nonzero if the
-					// checkpoint still cannot be written, so supervisors see
-					// the failed drain. The retry covers transient snapshot
-					// write failures; a wedged WAL stays wedged and reaches
-					// the nonzero exit.
-					log.Printf("dmgateway: drain snapshot refused: %v; retrying after a flush epoch", err)
-					eng.TriggerEpoch()
-					if err := writeDrain(); err != nil {
-						log.Printf("dmgateway: drain snapshot failed after retry: %v", err)
-						exitCode = 1
-					}
-				}
-			}
-			if err := w.Close(); err != nil {
-				log.Printf("dmgateway: WAL close: %v", err)
 			}
 		}
+		log.Print("dmgateway: draining engine")
+		m.Stop()
 	}()
 
-	log.Printf("dmgateway: design=%q intake-shards=%d epoch=%v batch=%d policy=%s epoch-cap=%d quota-rps=%g dod-workers=%d on %s",
-		p.Design.Label, *intakeShards, *epoch, *batch, policy.Name(), *epochCap, *quotaRPS, *dodWorkers, *addr)
+	log.Printf("dmgateway: design=%q shards=%d intake-shards=%d epoch=%v batch=%d policy=%s epoch-cap=%d quota-rps=%g dod-workers=%d on %s",
+		m.Shards()[0].Platform.Design.Label, m.NumShards(), *intakeShards, *epoch, *batch, policy.Name(),
+		*epochCap, *quotaRPS, *dodWorkers, *addr)
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
@@ -343,108 +264,39 @@ func main() {
 	}
 }
 
-// runFederated boots the sharded market (internal/federation) behind the
-// federation HTTP surface and blocks until shutdown. Mirrors the single-
-// engine path: SIGTERM stops HTTP first, then drains; with -snapshot-on-drain
-// every shard is checkpointed atomically w.r.t. the coordinator log before
-// the engines stop, so no snapshot ever captures a shard mid-2PC.
-func runFederated(addr string, shards int, cfg engine.Config, platOpts core.Options, reg *obs.Registry,
-	walDir, fsync string, segBytes int64, snapOnDrain bool, cacheEntries int, verbose bool) {
-	fcfg := federation.Config{
-		Shards: shards, Dir: walDir, SegmentBytes: segBytes,
-		Engine: cfg, Platform: platOpts, Metrics: reg,
-	}
-	if walDir != "" {
-		syncPolicy, err := wal.ParseSyncPolicy(fsync)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fcfg.Sync = syncPolicy
-	}
-	m, err := federation.Open(fcfg)
+// drainSnapshot checkpoints every shard and logs what it wrote.
+func drainSnapshot(m *federation.Market) error {
+	cps, err := m.SnapshotAll()
 	if err != nil {
-		log.Fatalf("dmgateway: federation boot: %v", err)
+		return err
 	}
-	if cacheEntries > 0 {
-		for _, sh := range m.Shards() {
-			sh.Platform.SetDoDCacheConfig(dod.CacheConfig{MaxEntries: cacheEntries})
-		}
+	for _, cp := range cps {
+		log.Printf("dmgateway: drain snapshot %s (seq %d)", cp.Path, cp.Seq)
 	}
-	m.Start()
+	return nil
+}
 
-	if verbose {
-		for _, sh := range m.Shards() {
-			sh := sh
-			bootHead := sh.Engine.Log().LastSeq()
-			go func() {
-				cursor := bootHead
-				for {
-					evs, open := sh.Engine.Log().WaitAfter(cursor)
-					for _, ev := range evs {
-						cursor = ev.Seq
-						switch ev.Kind {
-						case engine.EventEpochEnd:
-							log.Printf("shard %d epoch %d: %s", sh.Index, ev.Epoch, ev.Note)
-						case engine.EventTxSettled:
-							log.Printf("shard %d epoch %d: %s settled for %.2f (%s)",
-								sh.Index, ev.Epoch, ev.TxID, ev.Price, ev.Participant)
-						}
-					}
-					if !open {
-						return
-					}
-				}
-			}()
-		}
+// tailEpochs logs a shard's epoch summaries and settlements as they land,
+// from its boot-time head: replayed history was logged in its first life.
+func tailEpochs(sh *federation.Shard, prefix bool) {
+	tag := ""
+	if prefix {
+		tag = fmt.Sprintf("shard %d ", sh.Index)
 	}
-
-	server := dmms.NewFederationServer(m)
-	if reg != nil {
-		server.SetMetrics(reg)
-	}
-	srv := &http.Server{Addr: addr, Handler: server}
-	done := make(chan struct{})
-	exitCode := 0
-	go func() {
-		defer close(done)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Print("dmgateway: shutting down HTTP")
-		_ = srv.Shutdown(context.Background())
-		if walDir != "" && snapOnDrain {
-			// Flush whatever intake still holds into a final epoch, then
-			// checkpoint all shards (SnapshotAll prunes each shard's covered
-			// segments itself).
-			m.TriggerEpoch()
-			writeDrain := func() error {
-				paths, err := m.SnapshotAll()
-				if err != nil {
-					return err
-				}
-				log.Printf("dmgateway: drain snapshots: %s", strings.Join(paths, ", "))
-				return nil
-			}
-			if err := writeDrain(); err != nil {
-				log.Printf("dmgateway: drain snapshot refused: %v; retrying after a flush epoch", err)
-				m.TriggerEpoch()
-				if err := writeDrain(); err != nil {
-					log.Printf("dmgateway: drain snapshot failed after retry: %v", err)
-					exitCode = 1
-				}
+	cursor := sh.Engine.Log().LastSeq()
+	for {
+		evs, open := sh.Engine.Log().WaitAfter(cursor)
+		for _, ev := range evs {
+			cursor = ev.Seq
+			switch ev.Kind {
+			case engine.EventEpochEnd:
+				log.Printf("%sepoch %d: %s", tag, ev.Epoch, ev.Note)
+			case engine.EventTxSettled:
+				log.Printf("%sepoch %d: %s settled for %.2f (%s)", tag, ev.Epoch, ev.TxID, ev.Price, ev.Participant)
 			}
 		}
-		log.Print("dmgateway: draining shards")
-		m.Stop()
-	}()
-
-	log.Printf("dmgateway: federated design=%q shards=%d intake-shards=%d epoch=%v policy=%s dod-workers=%d on %s",
-		platOpts.Design, m.NumShards(), cfg.Shards, cfg.EpochEvery, cfg.Policy.Name(), cfg.DoDWorkers, addr)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatal(err)
-	}
-	<-done
-	if exitCode != 0 {
-		os.Exit(exitCode)
+		if !open {
+			return
+		}
 	}
 }

@@ -204,18 +204,3 @@ func TestAsyncConcurrentClients(t *testing.T) {
 		t.Fatalf("audit chain corrupted at entry %d", i)
 	}
 }
-
-// TestAsyncWithoutEngine confirms the sync-only server answers 503 on the
-// async surface instead of panicking.
-func TestAsyncWithoutEngine(t *testing.T) {
-	p, err := core.NewPlatform(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(p))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-	if _, err := c.RegisterAsync("b1", 10); err == nil {
-		t.Fatal("expected 503 from async endpoint without engine")
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,13 +24,6 @@ const DefaultTimeout = 30 * time.Second
 // Client{BaseURL: ...} is usable and timeout-bounded rather than a
 // nil-pointer panic waiting to happen.
 var defaultHTTP = &http.Client{Timeout: DefaultTimeout}
-
-// ErrSyncDisabled is returned when a synchronous mutation (Register,
-// ShareDataset, SubmitRequest, Report, Match) hits a WAL-backed server,
-// which only accepts mutations through the async, event-logged surface.
-// Match with errors.Is and switch to the *Async methods; the wrapped
-// message carries the server's guidance text.
-var ErrSyncDisabled = errors.New("dmms: synchronous mutations disabled on durable server")
 
 // OverloadedError is returned when the server sheds load (HTTP 429 from
 // admission control): back off for RetryAfter before resubmitting.
@@ -139,9 +131,6 @@ func decode(resp *http.Response, out any) error {
 			}
 			return &OverloadedError{Msg: e.Error, RetryAfter: retry}
 		}
-		if resp.StatusCode == http.StatusConflict && resp.Header.Get(SyncDisabledHeader) != "" {
-			return fmt.Errorf("%w: %s", ErrSyncDisabled, e.Error)
-		}
 		if e.Error != "" {
 			return fmt.Errorf("dmms: %s: %s", resp.Status, e.Error)
 		}
@@ -151,43 +140,6 @@ func decode(resp *http.Response, out any) error {
 		return nil
 	}
 	return json.Unmarshal(data, out)
-}
-
-// Register opens a participant account.
-func (c *Client) Register(name string, funds float64) error {
-	return c.post("/participants", ParticipantReq{Name: name, Funds: funds}, nil)
-}
-
-// ShareDataset uploads a relation under the given license kind.
-func (c *Client) ShareDataset(seller, id string, rel *relation.Relation, licenseKind string) error {
-	return c.post("/datasets", DatasetReq{Seller: seller, ID: id, Relation: rel, License: licenseKind}, nil)
-}
-
-// SubmitRequest files a data need and returns the request ID.
-func (c *Client) SubmitRequest(req RequestReq) (string, error) {
-	var out map[string]string
-	if err := c.post("/requests", req, &out); err != nil {
-		return "", err
-	}
-	return out["request_id"], nil
-}
-
-// Match triggers a matching round.
-func (c *Client) Match() (*MatchResp, error) {
-	var out MatchResp
-	if err := c.post("/match", struct{}{}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Report settles an ex-post purchase; returns the amount paid.
-func (c *Client) Report(txID string, reported, trueValue float64) (float64, error) {
-	var out map[string]float64
-	if err := c.post("/report", ReportReq{TxID: txID, Reported: reported, TrueValue: trueValue}, &out); err != nil {
-		return 0, err
-	}
-	return out["paid"], nil
 }
 
 // History fetches completed transactions (without mashup payloads).
@@ -207,8 +159,6 @@ func (c *Client) Balance(account string) (float64, error) {
 	}
 	return out["balance"], nil
 }
-
-// --- async (engine-backed) API --------------------------------------------
 
 // RegisterAsync queues a participant registration and returns its ticket.
 func (c *Client) RegisterAsync(name string, funds float64) (string, error) {

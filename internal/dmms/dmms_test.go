@@ -3,21 +3,32 @@ package dmms
 import (
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/federation"
 	"repro/internal/market"
 	"repro/internal/relation"
 )
 
+// mkServer serves an in-memory one-shard market under design; epochs run
+// only when the test triggers them.
 func mkServer(t *testing.T, design *market.Design) (*httptest.Server, *Client) {
 	t.Helper()
-	p, err := core.NewPlatform(core.Options{CustomDesign: design})
+	m, err := federation.Open(federation.Config{
+		Engine:   engine.Config{Shards: 2},
+		Platform: core.Options{CustomDesign: design},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(p))
-	t.Cleanup(srv.Close)
+	srv := httptest.NewServer(NewMarketServer(m))
+	t.Cleanup(func() {
+		srv.Close()
+		m.Stop()
+	})
 	return srv, NewClient(srv.URL)
 }
 
@@ -39,52 +50,66 @@ func mkRel() *relation.Relation {
 	return r
 }
 
+// mustTicket returns a checker that fails the test on a submission error
+// and passes the ticket through.
+func mustTicket(t *testing.T) func(string, error) string {
+	return func(ticket string, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ticket
+	}
+}
+
+// settle runs one epoch and waits for every ticket to reach a terminal
+// status, returning them in order.
+func settle(t *testing.T, c *Client, tickets ...string) []engine.Ticket {
+	t.Helper()
+	if _, _, err := c.TriggerEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]engine.Ticket, len(tickets))
+	for i, id := range tickets {
+		tk, err := c.WaitTicket(id, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = tk
+	}
+	return out
+}
+
 func TestHTTPEndToEnd(t *testing.T) {
 	_, c := mkServer(t, postedDesign())
-	if err := c.Register("s1", 0); err != nil {
-		t.Fatal(err)
+	must := mustTicket(t)
+	regs := settle(t, c,
+		must(c.RegisterAsync("s1", 0)),
+		must(c.RegisterAsync("b1", 500)),
+		must(c.RegisterAsync("b1", 500)),
+		must(c.ShareDatasetAsync("s1", "sales", mkRel(), "open")))
+	if regs[0].Status != engine.TicketDone || regs[1].Status != engine.TicketDone || regs[3].Status != engine.TicketDone {
+		t.Fatalf("registrations and share: %+v", regs)
 	}
-	if err := c.Register("b1", 500); err != nil {
-		t.Fatal(err)
+	if regs[2].Status != engine.TicketFailed {
+		t.Errorf("double registration must fail its ticket: %+v", regs[2])
 	}
-	if err := c.Register("b1", 500); err == nil {
-		t.Error("double registration must fail with HTTP error")
-	}
-	if err := c.ShareDataset("s1", "sales", mkRel(), "open"); err != nil {
-		t.Fatal(err)
-	}
-	id, err := c.SubmitRequest(RequestReq{
+	req := must(c.SubmitRequestAsync(RequestReq{
 		Buyer:   "b1",
 		Columns: []string{"region", "amount"},
 		Task:    TaskSpec{Kind: "coverage", WantRows: 50},
 		Curve:   []CurvePointSpec{{MinSatisfaction: 0.9, Price: 60}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	}))
+	tk := settle(t, c, req)[0]
+	if tk.Status != engine.TicketDone || tk.Price != 40 || tk.TxID == "" {
+		t.Fatalf("request = %+v, want done at the posted 40", tk)
 	}
-	if id == "" {
-		t.Fatal("no request id")
-	}
-	res, err := c.Match()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Transactions) != 1 {
-		t.Fatalf("transactions = %+v unsat=%v", res.Transactions, res.Unsatisfied)
-	}
-	tx := res.Transactions[0]
-	if tx.Price != 40 || tx.Buyer != "b1" {
-		t.Errorf("tx = %+v", tx)
-	}
-	if tx.Mashup == nil || tx.Mashup.NumRows() != 60 {
-		t.Error("match must deliver the mashup payload")
-	}
-	// History omits payload.
+	// History omits payload and carries the settled transaction.
 	hist, err := c.History()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hist) != 1 || hist[0].Mashup != nil {
+	if len(hist) != 1 || hist[0].ID != tk.TxID || hist[0].Buyer != "b1" || hist[0].Price != 40 {
 		t.Errorf("history = %+v", hist)
 	}
 	bal, err := c.Balance("b1")
@@ -107,69 +132,75 @@ func TestHTTPExPost(t *testing.T) {
 		Allocator: market.Uniform{},
 	}
 	_, c := mkServer(t, d)
-	_ = c.Register("s1", 0)
-	_ = c.Register("b1", 500)
-	_ = c.ShareDataset("s1", "sales", mkRel(), "open")
-	_, err := c.SubmitRequest(RequestReq{
+	must := mustTicket(t)
+	settle(t, c,
+		must(c.RegisterAsync("s1", 0)),
+		must(c.RegisterAsync("b1", 500)),
+		must(c.ShareDatasetAsync("s1", "sales", mkRel(), "open")))
+	tk := settle(t, c, must(c.SubmitRequestAsync(RequestReq{
 		Buyer: "b1", Columns: []string{"region", "amount"},
 		Task:  TaskSpec{Kind: "coverage", WantRows: 10},
 		Curve: []CurvePointSpec{{MinSatisfaction: 0.9, Price: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	})))[0]
+	if tk.Status != engine.TicketDone || tk.TxID == "" {
+		t.Fatalf("ex-post delivery = %+v", tk)
 	}
-	res, err := c.Match()
-	if err != nil {
-		t.Fatal(err)
+	hist, err := c.History()
+	if err != nil || len(hist) != 1 || !hist[0].ExPost {
+		t.Fatalf("ex-post history = %+v err=%v", hist, err)
 	}
-	if len(res.Transactions) != 1 || !res.Transactions[0].ExPost {
-		t.Fatalf("expost tx = %+v", res.Transactions)
+	rep := settle(t, c, must(c.ReportAsync(tk.TxID, 55, 55)))[0]
+	if rep.Status != engine.TicketDone || rep.Price != 55 {
+		t.Errorf("report = %+v, want done paying 55", rep)
 	}
-	paid, err := c.Report(res.Transactions[0].ID, 55, 55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paid != 55 {
-		t.Errorf("paid = %v", paid)
-	}
-	if _, err := c.Report("bogus", 1, 1); err == nil {
-		t.Error("bad tx id must error")
+	if bogus := settle(t, c, must(c.ReportAsync("bogus", 1, 1)))[0]; bogus.Status != engine.TicketFailed {
+		t.Errorf("report on an unknown tx = %+v, want failed", bogus)
 	}
 }
 
 func TestHTTPValidation(t *testing.T) {
 	_, c := mkServer(t, postedDesign())
-	if err := c.ShareDataset("", "", nil, "open"); err == nil {
+	must := mustTicket(t)
+	if _, err := c.ShareDatasetAsync("", "", nil, "open"); err == nil {
 		t.Error("missing fields must fail")
 	}
-	if _, err := c.SubmitRequest(RequestReq{Buyer: "ghost"}); err == nil {
+	if _, err := c.SubmitRequestAsync(RequestReq{Buyer: "ghost"}); err == nil {
 		t.Error("empty columns must fail")
 	}
-	if _, err := c.SubmitRequest(RequestReq{
+	if _, err := c.SubmitRequestAsync(RequestReq{
 		Buyer: "ghost", Columns: []string{"x"},
 		Task:  TaskSpec{Kind: "alien"},
 		Curve: []CurvePointSpec{{0.5, 1}},
 	}); err == nil {
 		t.Error("unknown task kind must fail")
 	}
+	if _, err := c.SubmitRequestAsyncPriority(RequestReq{Buyer: "ghost", Columns: []string{"x"}}, "urgent"); err == nil {
+		t.Error("unknown priority class must fail")
+	}
 	if _, err := c.Balance(""); err == nil {
 		t.Error("missing account must fail")
+	}
+	// A well-formed request from a buyer the market does not know is
+	// accepted at intake and fails its ticket at the next epoch.
+	ghost := settle(t, c, must(c.SubmitRequestAsync(RequestReq{
+		Buyer: "ghost", Columns: []string{"x"}, Curve: []CurvePointSpec{{0.5, 1}},
+	})))[0]
+	if ghost.Status != engine.TicketFailed || ghost.Err == "" {
+		t.Errorf("ghost buyer's ticket = %+v, want failed with a reason", ghost)
 	}
 }
 
 func TestHTTPDemandSignals(t *testing.T) {
 	_, c := mkServer(t, postedDesign())
-	_ = c.Register("b1", 100)
-	_, err := c.SubmitRequest(RequestReq{
+	must := mustTicket(t)
+	settle(t, c, must(c.RegisterAsync("b1", 100)))
+	// The request stays open (nothing carries "unicorn"), so run the epoch
+	// without waiting for its ticket to finish.
+	must(c.SubmitRequestAsync(RequestReq{
 		Buyer: "b1", Columns: []string{"unicorn"},
 		Curve: []CurvePointSpec{{0.5, 10}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Match(); err != nil {
-		t.Fatal(err)
-	}
+	}))
+	settle(t, c)
 	var signals []map[string]any
 	if err := c.get("/demand", &signals); err != nil {
 		t.Fatal(err)
@@ -181,10 +212,8 @@ func TestHTTPDemandSignals(t *testing.T) {
 
 func TestHTTPSaveCatalog(t *testing.T) {
 	_, c := mkServer(t, postedDesign())
-	_ = c.Register("s1", 0)
-	if err := c.ShareDataset("s1", "sales", mkRel(), "open"); err != nil {
-		t.Fatal(err)
-	}
+	must := mustTicket(t)
+	settle(t, c, must(c.RegisterAsync("s1", 0)), must(c.ShareDatasetAsync("s1", "sales", mkRel(), "open")))
 	dir := t.TempDir()
 	var out map[string]string
 	if err := c.post("/save", SaveReq{Dir: dir}, &out); err != nil {

@@ -1,7 +1,6 @@
 package dmms
 
 import (
-	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -12,8 +11,7 @@ import (
 )
 
 // TestAsyncExPostReportEndToEnd is the wire-level ex-post durability story:
-// on a WAL-backed server the sync /report path answers the typed
-// ErrSyncDisabled, the async path settles deliver -> report through the
+// on a WAL-backed server the async path settles deliver -> report through the
 // event log, a pending escrow survives a snapshot + restart intact, and the
 // buyer's report settles against the restored escrow on the second server
 // lifetime.
@@ -63,14 +61,6 @@ func TestAsyncExPostReportEndToEnd(t *testing.T) {
 		return tk
 	}
 	tx1 := deliver(300)
-
-	// Sync mutations answer the typed refusal on a durable server.
-	if _, err := c.Report(tx1.TxID, 250, 250); !errors.Is(err, ErrSyncDisabled) {
-		t.Fatalf("sync /report on durable server: got %v, want ErrSyncDisabled", err)
-	}
-	if err := c.Register("b9", 10); !errors.Is(err, ErrSyncDisabled) {
-		t.Fatalf("sync /participants on durable server: got %v, want ErrSyncDisabled", err)
-	}
 
 	// The async report settles the escrow through the event log.
 	repT, err := c.ReportAsync(tx1.TxID, 250, 250)

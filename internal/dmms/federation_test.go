@@ -88,7 +88,7 @@ func TestFederationServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	s := NewFederationServer(m)
+	s := NewMarketServer(m)
 
 	buyer := fedNameOn(t, "buyer", 0, 2)
 	sellA := fedNameOn(t, "sellA", 0, 2)
@@ -136,7 +136,7 @@ func TestFederationServerEndToEnd(t *testing.T) {
 	fedWantCode(t, fedDo(t, s, "GET", "/async/tickets/nope", nil, nil), http.StatusNotFound)
 
 	// Aggregated stats: both settles counted, federation block present.
-	var sv FederationStatsView
+	var sv StatsView
 	fedWantCode(t, fedDo(t, s, "GET", "/engine/stats", nil, &sv), http.StatusOK)
 	if sv.Matched != 2 {
 		t.Fatalf("aggregate Matched = %d, want 2", sv.Matched)
@@ -236,13 +236,13 @@ func TestFederationServerSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	s := NewFederationServer(m)
+	s := NewMarketServer(m)
 
 	fedWantCode(t, fedDo(t, s, "POST", "/async/participants",
 		ParticipantReq{Name: "b1", Funds: 100}, nil), http.StatusAccepted)
 	fedDo(t, s, "POST", "/epoch", nil, nil)
 
-	var resp FederationSnapshotResp
+	var resp SnapshotResp
 	fedWantCode(t, fedDo(t, s, "POST", "/snapshot", nil, &resp), http.StatusOK)
 	if len(resp.Paths) != 2 {
 		t.Fatalf("snapshot wrote %d checkpoints, want 2: %v", len(resp.Paths), resp.Paths)
@@ -263,7 +263,7 @@ func TestFederationServerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Stop()
-	s := NewFederationServer(m)
+	s := NewMarketServer(m)
 	s.SetMetrics(reg)
 
 	fedDo(t, s, "POST", "/epoch", nil, nil)

@@ -188,13 +188,9 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 // TestMetricsEndpointDisabled pins the opt-out: a server without SetMetrics
 // answers /metrics with 503, not an empty exposition.
 func TestMetricsEndpointDisabled(t *testing.T) {
-	p, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(p))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
+	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2})
+	defer done()
+	resp, err := http.Get(c.BaseURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

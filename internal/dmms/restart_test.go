@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/federation"
 	"repro/internal/wal"
 )
 
@@ -173,43 +174,36 @@ func TestAsyncSurfaceSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestSnapshotEndpoint exercises the /snapshot admin surface: 503 without a
-// configured store, and path+seq with one.
+// TestSnapshotEndpoint exercises the /snapshot admin surface: 503 on an
+// in-memory market, and path+seq on a durable one-shard market, whose
+// lineage lives directly in its directory.
 func TestSnapshotEndpoint(t *testing.T) {
-	_, eng, c, done := asyncFixture(t, engine.Config{Shards: 2})
+	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2})
 	defer done()
-
 	if _, _, err := c.Snapshot(); err == nil {
 		t.Fatal("snapshot without a store must fail")
 	}
 
 	dir := t.TempDir()
-	// Reach into the handler wiring the way the gateway does.
-	regT, err := c.RegisterAsync("b1", 500)
+	m, err := federation.Open(federation.Config{Dir: dir, Sync: wal.SyncAlways,
+		Engine: engine.Config{Shards: 2}, Platform: core.Options{Design: "posted-baseline"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.TriggerEpoch(); err != nil {
+	defer m.Stop()
+	srv := httptest.NewServer(NewMarketServer(m))
+	defer srv.Close()
+	c2 := NewClient(srv.URL)
+	regT, err := c2.RegisterAsync("b1", 500)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitTicket(regT, time.Second); err != nil {
+	if _, _, err := c2.TriggerEpoch(); err != nil {
 		t.Fatal(err)
 	}
-
-	srv2 := httptest.NewServer(func() *Server {
-		s := NewEngineServer(nil, eng)
-		s.SetSnapshotFunc(func() (string, int, error) {
-			snap, err := eng.Snapshot()
-			if err != nil {
-				return "", 0, err
-			}
-			path, err := wal.WriteSnapshot(dir, snap)
-			return path, snap.TakenAtSeq, err
-		})
-		return s
-	}())
-	defer srv2.Close()
-	c2 := NewClient(srv2.URL)
+	if _, err := c2.WaitTicket(regT, time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	path, seq, err := c2.Snapshot()
 	if err != nil {
@@ -221,52 +215,5 @@ func TestSnapshotEndpoint(t *testing.T) {
 	snap, err := wal.LoadSnapshot(dir)
 	if err != nil || snap == nil || snap.TakenAtSeq != seq {
 		t.Fatalf("written snapshot not loadable: %+v err=%v", snap, err)
-	}
-}
-
-// TestDurableServerRejectsSyncMutations: with a WAL attached, the
-// synchronous mutation endpoints would change state without an event-log
-// record — the server must refuse them and point at the async surface.
-func TestDurableServerRejectsSyncMutations(t *testing.T) {
-	w, err := wal.Open(wal.Options{Dir: t.TempDir(), Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	p, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(p, engine.Config{Shards: 2, Persister: w})
-	defer eng.Stop()
-	srv := httptest.NewServer(NewEngineServer(p, eng))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-
-	if err := c.Register("alice", 100); err == nil {
-		t.Fatal("sync /participants must be rejected on a durable server")
-	}
-	if err := c.ShareDataset("s1", "s1/d1", asyncRelation("s1/d1", 5), "open"); err == nil {
-		t.Fatal("sync /datasets must be rejected on a durable server")
-	}
-	if _, err := c.SubmitRequest(RequestReq{Buyer: "alice", Columns: []string{"x"},
-		Curve: []CurvePointSpec{{MinSatisfaction: 0.5, Price: 10}}}); err == nil {
-		t.Fatal("sync /requests must be rejected on a durable server")
-	}
-	// The async path still works.
-	if _, err := c.RegisterAsync("alice", 100); err != nil {
-		t.Fatalf("async surface broken on durable server: %v", err)
-	}
-	// A non-durable engine server keeps accepting sync mutations.
-	p2, err := core.NewPlatform(core.Options{Design: "posted-baseline"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := engine.New(p2, engine.Config{Shards: 2})
-	defer eng2.Stop()
-	srv2 := httptest.NewServer(NewEngineServer(p2, eng2))
-	defer srv2.Close()
-	if err := NewClient(srv2.URL).Register("bob", 50); err != nil {
-		t.Fatalf("sync mutation on non-durable engine server: %v", err)
 	}
 }

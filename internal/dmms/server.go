@@ -16,11 +16,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/arbiter"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/dod"
 	"repro/internal/engine"
+	"repro/internal/federation"
 	"repro/internal/license"
 	"repro/internal/mltask"
 	"repro/internal/obs"
@@ -28,15 +28,17 @@ import (
 	"repro/internal/wtp"
 )
 
-// Server wraps a core.Platform with an HTTP API. When built with an engine
-// (NewEngineServer) it additionally serves the async submit/poll surface:
-// submissions return tickets immediately, epochs clear the market in the
+// Server serves a market (internal/federation, N >= 1 shards) over HTTP.
+// Submissions return tickets immediately, epochs clear the market in the
 // background, and clients follow progress via tickets and the event log.
+// Every submission is routed to its home shard (or the cross-shard
+// coordinator); per-arbiter reads take ?shard=i when the market has more
+// than one shard. A one-shard market answers in the single-arbiter wire
+// shapes: bare IDs and no shard parameter.
 type Server struct {
-	routeSet
-	platform *core.Platform
-	engine   *engine.Engine
-	snapshot SnapshotFunc
+	mux    *http.ServeMux
+	hm     atomic.Pointer[httpMetrics]
+	market *federation.Market
 }
 
 // httpMetrics bundles the per-route instruments with the registry that
@@ -47,25 +49,49 @@ type httpMetrics struct {
 	dur  *obs.HistogramVec // dmms_http_request_seconds{route}
 }
 
-// routeSet is the HTTP plumbing shared by the market servers (single-engine
-// Server and FederationServer): a mux whose routes gain per-route count and
-// latency series once a telemetry registry is wired. hm is an atomic pointer
-// so metrics can be wired after construction — the gateway builds the server
-// first — without racing in-flight requests.
-type routeSet struct {
-	mux *http.ServeMux
-	hm  atomic.Pointer[httpMetrics]
+// NewMarketServer builds the HTTP front end over a market. The caller owns
+// the market's lifecycle (Start/Stop).
+func NewMarketServer(m *federation.Market) *Server {
+	s := &Server{mux: http.NewServeMux(), market: m}
+	s.handle("POST /async/participants", s.handleParticipants)
+	s.handle("POST /async/datasets", s.handleDatasets)
+	s.handle("POST /async/requests", s.handleRequests)
+	s.handle("POST /async/report", s.handleReport)
+	s.handle("GET /async/tickets/{id}", s.handleTicket)
+	s.handle("GET /events", s.handleEvents)
+	s.handle("POST /epoch", s.handleEpoch)
+	s.handle("GET /engine/stats", s.handleStats)
+	s.handle("GET /settlements", s.handleSettlements)
+	s.handle("GET /balance", s.handleBalance)
+	s.handle("GET /designs", s.handleDesigns)
+	s.handle("GET /history", s.handleHistory)
+	s.handle("GET /demand", s.handleDemand)
+	s.handle("POST /save", s.handleSave)
+	s.handle("POST /snapshot", s.handleSnapshot)
+	// Telemetry exposition — deliberately uninstrumented: a scrape should
+	// never perturb the series it is reading.
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	return s
+}
+
+// NewEngineServer serves a caller-built platform and engine as a one-shard
+// market (federation.Wrap). The caller owns the engine's lifecycle
+// (Start/Stop) and its persister; POST /snapshot answers 503.
+func NewEngineServer(p *core.Platform, eng *engine.Engine) *Server {
+	return NewMarketServer(federation.Wrap(p, eng))
 }
 
 // SetMetrics wires a telemetry registry: every route gains request-count and
 // latency series, and GET /metrics serves the registry's Prometheus text.
-// Pass nil to disable (the endpoint answers 503 again).
-func (rs *routeSet) SetMetrics(reg *obs.Registry) {
+// Pass nil to disable (the endpoint answers 503 again). The pointer is
+// atomic so metrics can be wired after construction without racing
+// in-flight requests.
+func (s *Server) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
-		rs.hm.Store(nil)
+		s.hm.Store(nil)
 		return
 	}
-	rs.hm.Store(&httpMetrics{
+	s.hm.Store(&httpMetrics{
 		reg: reg,
 		reqs: reg.NewCounterVec("dmms_http_requests_total",
 			"HTTP requests served, by route pattern and status code.", "route", "code"),
@@ -74,58 +100,15 @@ func (rs *routeSet) SetMetrics(reg *obs.Registry) {
 	})
 }
 
-// SnapshotFunc persists an engine checkpoint (see internal/wal) and returns
-// its path and the last event seq it covers. Wired by the gateway when a WAL
-// is configured; without one the /snapshot endpoint answers 503.
-type SnapshotFunc func() (path string, seq int, err error)
-
-// SetSnapshotFunc enables the POST /snapshot admin endpoint.
-func (s *Server) SetSnapshotFunc(fn SnapshotFunc) { s.snapshot = fn }
-
-// NewServer builds the synchronous HTTP front end (no engine; the async
-// endpoints answer 503).
-func NewServer(p *core.Platform) *Server { return NewEngineServer(p, nil) }
-
-// NewEngineServer builds the HTTP front end over a concurrent market engine.
-// The caller owns the engine's lifecycle (Start/Stop).
-func NewEngineServer(p *core.Platform, eng *engine.Engine) *Server {
-	s := &Server{routeSet: routeSet{mux: http.NewServeMux()}, platform: p, engine: eng}
-	s.handle("POST /participants", s.syncMutation(s.handleParticipants))
-	s.handle("POST /datasets", s.syncMutation(s.handleDatasets))
-	s.handle("POST /requests", s.syncMutation(s.handleRequests))
-	s.handle("POST /match", s.handleMatch)
-	s.handle("POST /report", s.syncMutation(s.handleReport))
-	s.handle("GET /history", s.handleHistory)
-	s.handle("GET /demand", s.handleDemand)
-	s.handle("GET /balance", s.handleBalance)
-	s.handle("GET /designs", s.handleDesigns)
-	s.handle("POST /save", s.handleSave)
-	// Async (engine-backed) surface.
-	s.handle("POST /async/participants", s.withEngine(s.handleAsyncParticipants))
-	s.handle("POST /async/datasets", s.withEngine(s.handleAsyncDatasets))
-	s.handle("POST /async/requests", s.withEngine(s.handleAsyncRequests))
-	s.handle("POST /async/report", s.withEngine(s.handleAsyncReport))
-	s.handle("GET /async/tickets/{id}", s.withEngine(s.handleTicket))
-	s.handle("GET /events", s.withEngine(s.handleEvents))
-	s.handle("POST /epoch", s.withEngine(s.handleEpoch))
-	s.handle("GET /engine/stats", s.withEngine(s.handleEngineStats))
-	s.handle("GET /settlements", s.withEngine(s.handleSettlements))
-	s.handle("POST /snapshot", s.withEngine(s.handleSnapshot))
-	// Telemetry exposition — deliberately uninstrumented: a scrape should
-	// never perturb the series it is reading.
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return s
-}
-
 // handle registers an instrumented route. The metric label is the pattern's
 // path part ("/async/tickets/{id}"), so path parameters never explode the
 // series cardinality.
-func (rs *routeSet) handle(pattern string, h http.HandlerFunc) {
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	route := pattern
 	if i := strings.IndexByte(pattern, ' '); i >= 0 {
 		route = pattern[i+1:]
 	}
-	rs.mux.HandleFunc(pattern, rs.instrument(route, h))
+	s.mux.HandleFunc(pattern, s.instrument(route, h))
 }
 
 // statusRecorder captures the response status for the request counter.
@@ -141,9 +124,9 @@ func (sr *statusRecorder) WriteHeader(code int) {
 
 // instrument wraps a handler with per-route latency and count series. With
 // no metrics wired it is a plain passthrough.
-func (rs *routeSet) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		hm := rs.hm.Load()
+		hm := s.hm.Load()
 		if hm == nil {
 			h(w, r)
 			return
@@ -157,8 +140,8 @@ func (rs *routeSet) instrument(route string, h http.HandlerFunc) http.HandlerFun
 }
 
 // handleMetrics serves the registry in Prometheus text exposition format.
-func (rs *routeSet) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hm := rs.hm.Load()
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	hm := s.hm.Load()
 	if hm == nil {
 		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("dmms: metrics disabled (run the gateway with -metrics)"))
 		return
@@ -167,38 +150,8 @@ func (rs *routeSet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = hm.reg.WritePrometheus(w)
 }
 
-// syncMutation guards the synchronous state-changing endpoints: on a
-// WAL-backed (durable) engine server they would mutate the platform without
-// an event-log record, making the durable log incomplete — and a later
-// replay could even fail outright (e.g. a settlement against a buyer whose
-// registration was never logged). Durable servers accept mutations only
-// through the async, event-logged surface.
-func (s *Server) syncMutation(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.engine != nil && s.engine.Durable() {
-			// The marker header lets clients branch on the refusal
-			// (ErrSyncDisabled) instead of string-matching the guidance.
-			w.Header().Set(SyncDisabledHeader, "1")
-			writeErr(w, http.StatusConflict, fmt.Errorf(
-				"dmms: this server is WAL-backed; synchronous mutations bypass the durable event log — use the /async endpoints"))
-			return
-		}
-		h(w, r)
-	}
-}
-
-func (s *Server) withEngine(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.engine == nil {
-			writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("dmms: no engine configured; use the synchronous endpoints"))
-			return
-		}
-		h(w, r)
-	}
-}
-
 // ServeHTTP implements http.Handler.
-func (rs *routeSet) ServeHTTP(w http.ResponseWriter, r *http.Request) { rs.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -214,10 +167,6 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // "high" or an integer) on POST /async/requests; it overrides the JSON
 // body's priority field.
 const PriorityHeader = "X-DMMS-Priority"
-
-// SyncDisabledHeader marks a 409 as "synchronous mutations disabled on this
-// WAL-backed server"; the client maps it to ErrSyncDisabled.
-const SyncDisabledHeader = "X-DMMS-Sync-Disabled"
 
 // writeSubmitErr maps an engine intake error onto the wire: admission
 // rejections become 429 Too Many Requests with a Retry-After header (whole
@@ -237,23 +186,28 @@ func writeSubmitErr(w http.ResponseWriter, err error) {
 	writeErr(w, http.StatusBadRequest, err)
 }
 
+// writeTicket answers a submission: 202 with its ticket, or the intake error.
+func writeTicket(w http.ResponseWriter, ticket string, err error) {
+	if err != nil {
+		writeSubmitErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
+}
+
+// decodeBody decodes a JSON request body into v, answering 400 on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
 // ParticipantReq registers a buyer or seller account.
 type ParticipantReq struct {
 	Name  string  `json:"name"`
 	Funds float64 `json:"funds"`
-}
-
-func (s *Server) handleParticipants(w http.ResponseWriter, r *http.Request) {
-	var req ParticipantReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.platform.Arbiter.RegisterParticipant(req.Name, req.Funds); err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"name": req.Name})
 }
 
 // DatasetReq shares a dataset with the arbiter.
@@ -266,8 +220,8 @@ type DatasetReq struct {
 	Author   string             `json:"author,omitempty"`
 }
 
-// datasetTerms validates a DatasetReq and derives the license terms and
-// metadata shared by the sync and async share paths.
+// datasetTerms validates a DatasetReq and derives its license terms and
+// metadata.
 func datasetTerms(req DatasetReq) (license.Terms, wtp.DatasetMeta, error) {
 	if req.Relation == nil || req.ID == "" || req.Seller == "" {
 		return license.Terms{}, wtp.DatasetMeta{}, fmt.Errorf("dmms: seller, id and relation are required")
@@ -279,24 +233,6 @@ func datasetTerms(req DatasetReq) (license.Terms, wtp.DatasetMeta, error) {
 	terms := license.Terms{Kind: kind, ExclusivityTaxRate: req.TaxRate}
 	meta := wtp.DatasetMeta{Dataset: req.ID, UpdatedAt: time.Now(), Author: req.Author, HasProvenance: true}
 	return terms, meta, nil
-}
-
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	var req DatasetReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	terms, meta, err := datasetTerms(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.platform.Arbiter.ShareDataset(req.Seller, catalog.DatasetID(req.ID), req.Relation, meta, terms); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": req.ID})
 }
 
 // TaskSpec is the serializable task package of a WTP-function.
@@ -326,13 +262,15 @@ type RequestReq struct {
 	Curve   []CurvePointSpec    `json:"curve"`
 	MinRows int                 `json:"min_rows,omitempty"`
 	// Priority is the request's priority class ("low" | "normal" | "high");
-	// the X-DMMS-Priority header overrides it. Async endpoint only.
+	// the X-DMMS-Priority header overrides it.
 	Priority string `json:"priority,omitempty"`
 }
 
-// buildRequest turns the wire form into the arbiter's Want + WTP-function,
-// shared by the sync and async request paths.
+// buildRequest turns the wire form into the arbiter's Want + WTP-function.
 func buildRequest(req RequestReq) (dod.Want, *wtp.Function, error) {
+	if len(req.Columns) == 0 {
+		return dod.Want{}, nil, fmt.Errorf("dmms: request has no columns")
+	}
 	var task wtp.Task
 	switch req.Task.Kind {
 	case "classifier":
@@ -353,76 +291,6 @@ func buildRequest(req RequestReq) (dod.Want, *wtp.Function, error) {
 	return want, f, nil
 }
 
-func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
-	var req RequestReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	want, f, err := buildRequest(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	id, err := s.platform.Arbiter.SubmitRequest(want, f)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"request_id": id})
-}
-
-// TxView is the wire form of a transaction.
-type TxView struct {
-	ID           string             `json:"id"`
-	RequestID    string             `json:"request_id,omitempty"`
-	Buyer        string             `json:"buyer"`
-	Price        float64            `json:"price"`
-	Satisfaction float64            `json:"satisfaction"`
-	Datasets     []string           `json:"datasets"`
-	SellerCuts   map[string]float64 `json:"seller_cuts"`
-	ExPost       bool               `json:"ex_post"`
-	Plan         []string           `json:"plan"`
-	Mashup       *relation.Relation `json:"mashup,omitempty"`
-}
-
-func txView(tx *arbiter.Transaction, includeData bool) TxView {
-	v := TxView{
-		ID: tx.ID, RequestID: tx.RequestID, Buyer: tx.Buyer, Price: tx.Price, Satisfaction: tx.Satisfaction,
-		Datasets: tx.Datasets, SellerCuts: tx.SellerCuts, ExPost: tx.ExPost, Plan: tx.Plan,
-	}
-	if includeData {
-		v.Mashup = tx.Mashup
-	}
-	return v
-}
-
-// MatchResp reports one matching round.
-type MatchResp struct {
-	Transactions []TxView `json:"transactions"`
-	Unsatisfied  []string `json:"unsatisfied"`
-}
-
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	// With an engine, matching rounds belong to the epoch runner: a direct
-	// MatchRound here would settle engine-tracked requests without event-log
-	// publication, leaving tickets stuck and the settlement book incomplete.
-	if s.engine != nil {
-		writeErr(w, http.StatusConflict, fmt.Errorf("dmms: matching is epoch-driven on this server; POST /epoch instead"))
-		return
-	}
-	res, err := s.platform.MatchRound()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	resp := MatchResp{Unsatisfied: res.Unsatisfied}
-	for _, tx := range res.Transactions {
-		resp.Transactions = append(resp.Transactions, txView(tx, true))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // ReportReq settles an ex-post transaction.
 type ReportReq struct {
 	TxID      string  `json:"tx_id"`
@@ -430,98 +298,27 @@ type ReportReq struct {
 	TrueValue float64 `json:"true_value"`
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	var req ReportReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	paid, err := s.platform.Arbiter.ReportValue(req.TxID, req.Reported, req.TrueValue)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{"paid": paid})
-}
-
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	var out []TxView
-	for _, tx := range s.platform.Arbiter.History() {
-		out = append(out, txView(tx, false))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.platform.Arbiter.DemandSignals())
-}
-
-func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
-	account := r.URL.Query().Get("account")
-	if account == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: account query parameter required"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{
-		"balance": s.platform.Arbiter.Ledger.Balance(account).Float(),
-	})
-}
-
-func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"design": s.platform.Design.Label})
-}
-
-// SaveReq asks the server to persist its catalog to a directory.
-type SaveReq struct {
-	Dir string `json:"dir"`
-}
-
-func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
-	var req SaveReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Dir == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: dir is required"))
-		return
-	}
-	if err := s.platform.Arbiter.Catalog.SaveDir(req.Dir); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"saved": req.Dir})
-}
-
-// --- async (engine-backed) handlers ---------------------------------------
-
-// TicketResp acknowledges an async submission.
+// TicketResp acknowledges a submission.
 type TicketResp struct {
 	Ticket string `json:"ticket"`
 }
 
-func (s *Server) handleAsyncParticipants(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleParticipants(w http.ResponseWriter, r *http.Request) {
 	var req ParticipantReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: name is required"))
 		return
 	}
-	ticket, err := s.engine.SubmitRegister(req.Name, req.Funds)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
+	ticket, err := s.market.SubmitRegister(req.Name, req.Funds)
+	writeTicket(w, ticket, err)
 }
 
-func (s *Server) handleAsyncDatasets(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	var req DatasetReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	terms, meta, err := datasetTerms(req)
@@ -529,18 +326,13 @@ func (s *Server) handleAsyncDatasets(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ticket, err := s.engine.SubmitShare(req.Seller, catalog.DatasetID(req.ID), req.Relation, meta, terms)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
+	ticket, err := s.market.SubmitShare(req.Seller, catalog.DatasetID(req.ID), req.Relation, meta, terms)
+	writeTicket(w, ticket, err)
 }
 
-func (s *Server) handleAsyncRequests(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 	var req RequestReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	want, f, err := buildRequest(req)
@@ -557,33 +349,23 @@ func (s *Server) handleAsyncRequests(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ticket, err := s.engine.SubmitRequestPriority(want, f, priority)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
+	ticket, err := s.market.SubmitRequestPriority(want, f, priority)
+	writeTicket(w, ticket, err)
 }
 
-// handleAsyncReport queues an ex-post value report through the engine, so
-// the settlement is epoch-applied and event-logged (value-reported) — the
-// only report path a durable server accepts.
-func (s *Server) handleAsyncReport(w http.ResponseWriter, r *http.Request) {
+// handleReport queues an ex-post value report, so the settlement is
+// epoch-applied and event-logged (value-reported).
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var req ReportReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.TxID == "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: tx_id is required"))
 		return
 	}
-	ticket, err := s.engine.SubmitReport(req.TxID, req.Reported, req.TrueValue)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, TicketResp{Ticket: ticket})
+	ticket, err := s.market.SubmitReport(req.TxID, req.Reported, req.TrueValue)
+	writeTicket(w, ticket, err)
 }
 
 // TicketView is a ticket plus its stamped pipeline trace (present only when
@@ -594,15 +376,49 @@ type TicketView struct {
 }
 
 func (s *Server) handleTicket(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.engine.Ticket(r.PathValue("id"))
+	id := r.PathValue("id")
+	t, ok := s.market.Ticket(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: unknown ticket %q", r.PathValue("id")))
+		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: unknown ticket %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, TicketView{Ticket: t, Trace: s.engine.TicketTrace(t.ID)})
+	writeJSON(w, http.StatusOK, TicketView{Ticket: t, Trace: s.market.TicketTrace(id)})
 }
 
+// oneShard resolves the shard a per-arbiter read targets: the one ?shard=i
+// names, or shard 0 of a one-shard market. A multi-shard market has no
+// merged order for these views (event seqs restart per shard), so it
+// requires the parameter. It answers 400 and returns false otherwise.
+func (s *Server) oneShard(w http.ResponseWriter, r *http.Request) (*federation.Shard, bool) {
+	n := s.market.NumShards()
+	v := r.URL.Query().Get("shard")
+	if v == "" && n == 1 {
+		return s.market.Shards()[0], true
+	}
+	i, err := strconv.Atoi(v)
+	if err != nil || i < 0 || i >= n {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: this view is per shard; pass ?shard=i with i in [0,%d)", n))
+		return nil, false
+	}
+	return s.market.Shards()[i], true
+}
+
+// someShards resolves a mergeable read: every shard, or only the one
+// ?shard=i names. It answers 400 and returns false on a bad parameter.
+func (s *Server) someShards(w http.ResponseWriter, r *http.Request) ([]*federation.Shard, bool) {
+	if r.URL.Query().Get("shard") == "" {
+		return s.market.Shards(), true
+	}
+	sh, ok := s.oneShard(w, r)
+	return []*federation.Shard{sh}, ok
+}
+
+// handleEvents serves one shard's event log.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	sh, ok := s.oneShard(w, r)
+	if !ok {
+		return
+	}
 	after := 0
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -612,7 +428,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		after = n
 	}
-	evs := s.engine.Events(after)
+	evs := sh.Engine.Events(after)
 	if evs == nil {
 		evs = []engine.Event{}
 	}
@@ -625,31 +441,49 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
-	epoch, ran := s.engine.TriggerEpoch()
+	epoch, ran := s.market.TriggerEpoch()
 	writeJSON(w, http.StatusOK, map[string]any{"epoch": epoch, "ran": ran})
 }
 
-func (s *Server) handleEngineStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.engine.Stats())
+// FederationDetail is the federation block of the stats view.
+type FederationDetail struct {
+	Shards             int            `json:"shards"`
+	CoordinatorPending int            `json:"coordinator_pending"`
+	XTxCommitted       uint64         `json:"xtx_committed"`
+	XTxAborted         uint64         `json:"xtx_aborted"`
+	PerShard           []engine.Stats `json:"per_shard,omitempty"`
 }
 
-// SnapshotResp reports a written checkpoint.
-type SnapshotResp struct {
-	Path string `json:"path"`
-	Seq  int    `json:"seq"`
+// StatsView is GET /engine/stats: the market-wide engine.Stats shape
+// (summed over shards), plus a federation block (shard count, coordinator
+// counters, and — with ?per-shard=1 — each shard's own stats). ?shard=i
+// answers one shard's plain engine.Stats instead.
+type StatsView struct {
+	engine.Stats
+	Federation FederationDetail `json:"federation"`
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.snapshot == nil {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("dmms: no snapshot store configured (run the gateway with -wal-dir)"))
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("shard") != "" {
+		if sh, ok := s.oneShard(w, r); ok {
+			writeJSON(w, http.StatusOK, sh.Engine.Stats())
+		}
 		return
 	}
-	path, seq, err := s.snapshot()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+	pending, settled, aborted := s.market.CoordStats()
+	view := StatsView{
+		Stats: s.market.Stats(),
+		Federation: FederationDetail{
+			Shards:             s.market.NumShards(),
+			CoordinatorPending: pending,
+			XTxCommitted:       settled,
+			XTxAborted:         aborted,
+		},
 	}
-	writeJSON(w, http.StatusOK, SnapshotResp{Path: path, Seq: seq})
+	if q := r.URL.Query().Get("per-shard"); q == "1" || q == "true" {
+		view.Federation.PerShard = s.market.ShardStats()
+	}
+	writeJSON(w, http.StatusOK, view)
 }
 
 // SettlementView is the wire form of one settlement-book entry.
@@ -663,24 +497,156 @@ type SettlementView struct {
 	ExPost     bool               `json:"ex_post,omitempty"`
 }
 
+// handleSettlements merges the shards' settlement books, TxIDs in federation
+// form. Conserved is the AND across shards — cross-shard transactions move
+// value between shard ledgers, so only the market-wide view is meaningful.
+// ?shard=i narrows to one shard.
 func (s *Server) handleSettlements(w http.ResponseWriter, r *http.Request) {
-	book := s.engine.Settlements()
+	shards, ok := s.someShards(w, r)
+	if !ok {
+		return
+	}
 	out := []SettlementView{}
-	for _, st := range book.All() {
-		v := SettlementView{
-			TxID: st.TxID, Epoch: st.Epoch, Buyer: st.Buyer,
-			Price: st.Price.Float(), ArbiterCut: st.ArbiterCut.Float(), ExPost: st.ExPost,
-		}
-		if len(st.SellerCuts) > 0 {
-			v.SellerCuts = map[string]float64{}
-			for name, c := range st.SellerCuts {
-				v.SellerCuts[name] = c.Float()
+	conserved := true
+	for _, sh := range shards {
+		book := sh.Engine.Settlements()
+		conserved = conserved && book.Conserved()
+		for _, st := range book.All() {
+			v := SettlementView{
+				TxID: s.market.ShardID(sh.Index, st.TxID), Epoch: st.Epoch, Buyer: st.Buyer,
+				Price: st.Price.Float(), ArbiterCut: st.ArbiterCut.Float(), ExPost: st.ExPost,
 			}
+			if len(st.SellerCuts) > 0 {
+				v.SellerCuts = map[string]float64{}
+				for name, c := range st.SellerCuts {
+					v.SellerCuts[name] = c.Float()
+				}
+			}
+			out = append(out, v)
 		}
-		out = append(out, v)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"settlements": out,
-		"conserved":   book.Conserved(),
+		"conserved":   conserved,
 	})
+}
+
+// handleBalance answers a participant's balance from its home shard; an
+// account the market does not know is a 404.
+func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
+	account := r.URL.Query().Get("account")
+	if account == "" {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: account query parameter required"))
+		return
+	}
+	bal, ok := s.market.Balance(account)
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("dmms: unknown account %q", account))
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]float64{"balance": bal.Float()})
+}
+
+func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{
+		"design": s.market.Shards()[0].Platform.Design.Label,
+		"shards": s.market.NumShards(),
+	})
+}
+
+// TxView is the wire form of a completed transaction.
+type TxView struct {
+	ID           string             `json:"id"`
+	RequestID    string             `json:"request_id,omitempty"`
+	Buyer        string             `json:"buyer"`
+	Price        float64            `json:"price"`
+	Satisfaction float64            `json:"satisfaction"`
+	Datasets     []string           `json:"datasets"`
+	SellerCuts   map[string]float64 `json:"seller_cuts"`
+	ExPost       bool               `json:"ex_post"`
+	Plan         []string           `json:"plan"`
+}
+
+// handleHistory merges the shards' transaction histories (tx IDs in
+// federation form, request IDs shard-local as on tickets, mashup payloads
+// omitted); ?shard=i narrows to one shard.
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
+	shards, ok := s.someShards(w, r)
+	if !ok {
+		return
+	}
+	var out []TxView
+	for _, sh := range shards {
+		for _, tx := range sh.Platform.Arbiter.History() {
+			out = append(out, TxView{
+				ID: s.market.ShardID(sh.Index, tx.ID), RequestID: tx.RequestID, Buyer: tx.Buyer,
+				Price: tx.Price, Satisfaction: tx.Satisfaction, Datasets: tx.Datasets,
+				SellerCuts: tx.SellerCuts, ExPost: tx.ExPost, Plan: tx.Plan,
+			})
+		}
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
+	if sh, ok := s.oneShard(w, r); ok {
+		writeJSON(w, http.StatusOK, sh.Platform.Arbiter.DemandSignals())
+	}
+}
+
+// SaveReq asks the server to persist a shard's catalog to a directory.
+type SaveReq struct {
+	Dir string `json:"dir"`
+}
+
+func (s *Server) handleSave(w http.ResponseWriter, r *http.Request) {
+	sh, ok := s.oneShard(w, r)
+	if !ok {
+		return
+	}
+	var req SaveReq
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if req.Dir == "" {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("dmms: dir is required"))
+		return
+	}
+	if err := sh.Platform.Arbiter.Catalog.SaveDir(req.Dir); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"saved": req.Dir})
+}
+
+// SnapshotResp reports the checkpoints POST /snapshot wrote, one per shard
+// (index-aligned). Path and Seq repeat a one-shard market's only checkpoint
+// — the single-arbiter wire shape — and are omitted with more shards.
+type SnapshotResp struct {
+	Path  string   `json:"path,omitempty"`
+	Seq   int      `json:"seq,omitempty"`
+	Paths []string `json:"paths"`
+}
+
+// handleSnapshot checkpoints every shard atomically w.r.t. the coordinator
+// log (federation.Market.SnapshotAll); 503 on a market without a WAL
+// directory.
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	cps, err := s.market.SnapshotAll()
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, federation.ErrNoSnapshotLineage) {
+			code = http.StatusServiceUnavailable
+		}
+		writeErr(w, code, err)
+		return
+	}
+	resp := SnapshotResp{Paths: []string{}}
+	for _, cp := range cps {
+		resp.Paths = append(resp.Paths, cp.Path)
+	}
+	if len(cps) == 1 {
+		resp.Path, resp.Seq = cps[0].Path, cps[0].Seq
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -72,10 +72,11 @@ type Config struct {
 	// a federated market (internal/federation) sharing a registry with its
 	// siblings: per-shard instruments carry it as a `shard` label (distinct
 	// families, so the unlabeled aggregates keep their names), and the
-	// engine skips the process-wide sampled families — several engines
-	// registering the same closure would leave only the last one visible —
-	// leaving them to the federation layer to register once, aggregated.
-	// Purely observational: the label never reaches the event stream.
+	// engine skips the sampled families — several engines registering the
+	// same closure would leave only the last one visible — leaving the
+	// federation to register them once over all its shards
+	// (RegisterSampledMetrics). Purely observational: the label never
+	// reaches the event stream.
 	ShardLabel string
 }
 
@@ -374,7 +375,7 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 	}
 	if cfg.Metrics != nil {
 		if cfg.ShardLabel == "" {
-			e.registerFuncMetrics(cfg.Metrics)
+			RegisterSampledMetrics(cfg.Metrics, []*Engine{e}, nil)
 		}
 		buildDur := cfg.Metrics.NewHistogram("dod_build_seconds",
 			"Wall-clock duration of each candidate build (beam search + materialize).", obs.FastBuckets)
@@ -416,11 +417,6 @@ func newEngine(p *core.Platform, cfg Config, log *EventLog, book *ledger.Settlem
 	}()
 	return e
 }
-
-// Durable reports whether a write-ahead persister is attached to the event
-// log. dmms uses it to refuse synchronous mutations that would bypass the
-// log on a durable server.
-func (e *Engine) Durable() bool { return e.log.durable() }
 
 // Start launches the background epoch loop (ticker- and threshold-driven).
 func (e *Engine) Start() {
@@ -670,7 +666,7 @@ func (e *Engine) enqueue(s submission, shardKey, participant string) string {
 	sh.mu.Unlock()
 
 	if e.m.on() {
-		e.m.shardGauge(idx).Add(1)
+		e.m.addDepth(idx, 1)
 		if s.kind == KindRequest {
 			e.m.tracer.Begin(s.ticket, s.t0)
 			e.m.tracer.Stamp(s.ticket, obs.StageAdmit, s.tAdmit)
@@ -704,7 +700,7 @@ func (e *Engine) drain() []submission {
 		sh.queue = nil
 		sh.mu.Unlock()
 		if n > 0 {
-			e.m.shardGauge(i).Add(float64(-n))
+			e.m.addDepth(i, float64(-n))
 		}
 	}
 	e.pending.Add(-int64(len(batch)))

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dod"
 	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/relation"
@@ -35,7 +36,7 @@ type engineMetrics struct {
 	epochDur   *obs.Histogram  // engine_epoch_seconds
 	epochLag   *obs.Histogram  // engine_epoch_lag_seconds
 	roundDur   *obs.Histogram  // arbiter_round_seconds
-	shardDepth []*obs.Gauge    // engine_intake_queue_depth{shard} (or {shard,queue} when labeled)
+	shardDepth []*obs.Gauge    // engine_intake_queue_depth{shard}
 	rejections *obs.CounterVec // engine_admission_rejections_total{reason}
 	aged       *obs.Counter    // engine_aged_requests_total
 	workerBusy *obs.CounterVec // dod_worker_busy_seconds_total{worker}
@@ -46,6 +47,7 @@ type engineMetrics struct {
 	shRoundDur   *obs.Histogram  // engine_shard_round_seconds{shard}
 	shRejections *obs.CounterVec // engine_shard_admission_rejections_total{shard,reason}
 	shAged       *obs.Counter    // engine_shard_aged_requests_total{shard}
+	shDepth      []*obs.Gauge    // engine_shard_intake_queue_depth{shard,queue}
 
 	mu        sync.Mutex
 	lastEpoch time.Time // previous counted epoch's completion, for lag
@@ -86,6 +88,14 @@ func newEngineMetrics(reg *obs.Registry, shards int, label string) *engineMetric
 				obs.DefBuckets, "stage"),
 			0),
 	}
+	// Intake depth moves by deltas, so sibling shard engines sharing this
+	// family sum per intake queue.
+	queueDepth := reg.NewGaugeVec("engine_intake_queue_depth",
+		"Queued submissions per intake shard.", "shard")
+	m.shardDepth = make([]*obs.Gauge, shards)
+	for i := range m.shardDepth {
+		m.shardDepth[i] = queueDepth.With(strconv.Itoa(i))
+	}
 	if label != "" {
 		m.shEpochDur = reg.NewHistogramVec("engine_shard_epoch_seconds",
 			"Wall-clock duration of counted epochs, per federation shard.",
@@ -97,21 +107,12 @@ func newEngineMetrics(reg *obs.Registry, shards int, label string) *engineMetric
 			"Admission rejections per federation shard, by reason.", "shard", "reason")
 		m.shAged = reg.NewCounterVec("engine_shard_aged_requests_total",
 			"Policy-deferred requests per federation shard.", "shard").With(label)
-		// Intake depth needs both the market shard and the intake queue
-		// index; the single-label family below would alias across engines.
-		queueDepth := reg.NewGaugeVec("engine_shard_intake_queue_depth",
+		shDepth := reg.NewGaugeVec("engine_shard_intake_queue_depth",
 			"Queued submissions per federation shard and intake queue.", "shard", "queue")
-		m.shardDepth = make([]*obs.Gauge, shards)
-		for i := range m.shardDepth {
-			m.shardDepth[i] = queueDepth.With(label, strconv.Itoa(i))
+		m.shDepth = make([]*obs.Gauge, shards)
+		for i := range m.shDepth {
+			m.shDepth[i] = shDepth.With(label, strconv.Itoa(i))
 		}
-		return m
-	}
-	queueDepth := reg.NewGaugeVec("engine_intake_queue_depth",
-		"Queued submissions per intake shard.", "shard")
-	m.shardDepth = make([]*obs.Gauge, shards)
-	for i := range m.shardDepth {
-		m.shardDepth[i] = queueDepth.With(strconv.Itoa(i))
 	}
 	return m
 }
@@ -166,105 +167,115 @@ func (m *engineMetrics) observeWorkerBusy(worker int, seconds float64) {
 	m.workerBusy.With(strconv.Itoa(worker)).Add(seconds)
 }
 
-// shardGauge returns the intake-depth gauge for one shard (nil when off).
-func (m *engineMetrics) shardGauge(i int) *obs.Gauge {
-	if !m.on() || i >= len(m.shardDepth) {
-		return nil
+// addDepth moves intake queue i's depth gauges by delta (no-op when off).
+func (m *engineMetrics) addDepth(i int, delta float64) {
+	if !m.on() {
+		return
 	}
-	return m.shardDepth[i]
+	m.shardDepth[i].Add(delta)
+	if m.shDepth != nil {
+		m.shDepth[i].Add(delta)
+	}
 }
 
-// registerFuncMetrics wires the sampled families — counters and gauges other
-// subsystems already maintain as atomics — after the engine (and its pool)
-// exist. Sampling happens at scrape time; none of these closures touch
-// epochMu, so a scrape can never stall the epoch runner.
-func (e *Engine) registerFuncMetrics(reg *obs.Registry) {
-	reg.NewCounterFunc("engine_epochs_total",
-		"Counted epochs since boot.", func() float64 { return float64(e.epoch.Load()) })
-	reg.NewCounterFunc("engine_submitted_total",
-		"Submissions accepted into intake.", func() float64 { return float64(e.stSubmitted.Load()) })
-	reg.NewCounterFunc("engine_applied_total",
-		"Submissions applied successfully.", func() float64 { return float64(e.stApplied.Load()) })
-	reg.NewCounterFunc("engine_matched_total",
-		"Requests settled by matching rounds.", func() float64 { return float64(e.stMatched.Load()) })
-	reg.NewCounterFunc("engine_failed_total",
-		"Submissions rejected at apply time.", func() float64 { return float64(e.stFailed.Load()) })
-	reg.NewGaugeFunc("engine_pending_submissions",
-		"Submissions queued across all intake shards.", func() float64 { return float64(e.pending.Load()) })
-	reg.NewGaugeFunc("arbiter_open_requests",
-		"Requests filed but not yet matched.", func() float64 { return float64(e.platform.OpenRequestCount()) })
-	reg.NewGaugeFunc("arbiter_unmet_wants",
-		"Distinct wanted columns carrying unmet-demand signals.", func() float64 { return float64(e.platform.UnmetWantCount()) })
+// RegisterSampledMetrics registers the sampled families — counters and
+// gauges other subsystems already maintain as atomics — summed over engs.
+// It is the one declaration of these names: a bare engine registers them
+// over itself, a federation over its shards. outside, when non-nil, adds
+// settles and open wants that live beside the engines (a federation's
+// cross-shard coordinator) to engine_matched_total and
+// arbiter_open_requests. Re-registering replaces the sampled closures.
+// Sampling happens at scrape time; none of these closures touch epochMu,
+// so a scrape can never stall an epoch runner.
+func RegisterSampledMetrics(reg *obs.Registry, engs []*Engine, outside func() (matched uint64, open int)) {
+	if outside == nil {
+		outside = func() (uint64, int) { return 0, 0 }
+	}
+	sum := func(f func(e *Engine) float64) func() float64 {
+		return func() float64 {
+			var t float64
+			for _, e := range engs {
+				t += f(e)
+			}
+			return t
+		}
+	}
+	cache := func(f func(c dod.CacheStats) uint64) func() float64 {
+		return sum(func(e *Engine) float64 { return float64(f(e.platform.DoDCacheStats())) })
+	}
+	counter := func(name, help string, f func(e *Engine) float64) { reg.NewCounterFunc(name, help, sum(f)) }
+	gauge := func(name, help string, f func(e *Engine) float64) { reg.NewGaugeFunc(name, help, sum(f)) }
 
-	reg.NewCounterFunc("dod_builds_total",
-		"Beam searches actually run by the DoD engine.",
-		func() float64 { return float64(e.platform.DoDCacheStats().Builds) })
-	reg.NewCounterFunc("dod_cache_hits_total",
-		"Version-valid candidate-cache reuses.",
-		func() float64 { return float64(e.platform.DoDCacheStats().Hits) })
-	reg.NewCounterFunc("dod_cache_stale_total",
-		"Cache lookups invalidated by a catalog version bump.",
-		func() float64 { return float64(e.platform.DoDCacheStats().Stale) })
-	reg.NewCounterFunc("dod_cache_misses_total",
-		"Cache lookups with no reusable entry.",
-		func() float64 { return float64(e.platform.DoDCacheStats().Misses) })
+	counter("engine_epochs_total", "Counted epochs since boot.",
+		func(e *Engine) float64 { return float64(e.epoch.Load()) })
+	counter("engine_submitted_total", "Submissions accepted into intake.",
+		func(e *Engine) float64 { return float64(e.stSubmitted.Load()) })
+	counter("engine_applied_total", "Submissions applied successfully.",
+		func(e *Engine) float64 { return float64(e.stApplied.Load()) })
+	matched := sum(func(e *Engine) float64 { return float64(e.stMatched.Load()) })
+	reg.NewCounterFunc("engine_matched_total", "Requests settled by matching rounds.",
+		func() float64 { n, _ := outside(); return matched() + float64(n) })
+	counter("engine_failed_total", "Submissions rejected at apply time.",
+		func(e *Engine) float64 { return float64(e.stFailed.Load()) })
+	gauge("engine_pending_submissions", "Submissions queued across all intake shards.",
+		func(e *Engine) float64 { return float64(e.pending.Load()) })
+	open := sum(func(e *Engine) float64 { return float64(e.platform.OpenRequestCount()) })
+	reg.NewGaugeFunc("arbiter_open_requests", "Requests filed but not yet matched.",
+		func() float64 { _, n := outside(); return open() + float64(n) })
+	gauge("arbiter_unmet_wants", "Distinct wanted columns carrying unmet-demand signals.",
+		func(e *Engine) float64 { return float64(e.platform.UnmetWantCount()) })
+
+	reg.NewCounterFunc("dod_builds_total", "Beam searches actually run by the DoD engine.",
+		cache(func(c dod.CacheStats) uint64 { return c.Builds }))
+	reg.NewCounterFunc("dod_cache_hits_total", "Version-valid candidate-cache reuses.",
+		cache(func(c dod.CacheStats) uint64 { return c.Hits }))
+	reg.NewCounterFunc("dod_cache_stale_total", "Cache lookups invalidated by a catalog version bump.",
+		cache(func(c dod.CacheStats) uint64 { return c.Stale }))
+	reg.NewCounterFunc("dod_cache_misses_total", "Cache lookups with no reusable entry.",
+		cache(func(c dod.CacheStats) uint64 { return c.Misses }))
 	reg.NewCounterFunc("dod_cache_evictions_total",
 		"Candidate-cache entries evicted to enforce the MaxEntries bound.",
-		func() float64 { return float64(e.platform.DoDCacheStats().Evictions) })
-	reg.NewGaugeFunc("dod_cache_entries",
-		"Current candidate-cache population.",
-		func() float64 { return float64(e.platform.DoDCacheStats().Entries) })
+		cache(func(c dod.CacheStats) uint64 { return c.Evictions }))
+	reg.NewGaugeFunc("dod_cache_entries", "Current candidate-cache population.",
+		cache(func(c dod.CacheStats) uint64 { return uint64(c.Entries) }))
 	reg.NewCounterFunc("dod_build_deadline_exceeded_total",
 		"Build requests abandoned because they outran Config.BuildDeadline.",
-		func() float64 { return float64(e.platform.DoDCacheStats().DeadlineExceeded) })
+		cache(func(c dod.CacheStats) uint64 { return c.DeadlineExceeded }))
 	reg.NewCounterFunc("dod_builds_cancelled_total",
 		"Build requests abandoned to cancellation (shutdown, cancel-on-settle).",
-		func() float64 { return float64(e.platform.DoDCacheStats().Cancelled) })
-	reg.NewCounterFunc("dod_worker_panics_total",
+		cache(func(c dod.CacheStats) uint64 { return c.Cancelled }))
+	counter("dod_worker_panics_total",
 		"Builds that panicked and were isolated to their want group (DoD recover plus pool backstop).",
-		func() float64 {
+		func(e *Engine) float64 {
 			n := float64(e.platform.DoDCacheStats().Panics)
 			if e.pool != nil {
 				n += float64(e.pool.panics.Load())
 			}
 			return n
 		})
-	reg.NewGaugeFunc("dod_build_queue_depth",
-		"Build jobs dispatched to the worker pool and not yet picked up.",
-		func() float64 {
+	gauge("dod_build_queue_depth", "Build jobs dispatched to the worker pool and not yet picked up.",
+		func(e *Engine) float64 {
 			if e.pool == nil {
 				return 0
 			}
 			return float64(e.pool.queued.Load())
 		})
-
 	reg.NewCounterFunc("dod_subjoin_memo_hits_total",
 		"Join prefixes reused from the per-build sub-join memo during candidate materialization.",
-		func() float64 { return float64(e.platform.DoDCacheStats().SubJoinHits) })
+		cache(func(c dod.CacheStats) uint64 { return c.SubJoinHits }))
+	counter("engine_price_seconds_total",
+		"Cumulative wall-clock time spent in the price stage of matching rounds.",
+		func(e *Engine) float64 { return float64(e.stPriceNanos.Load()) / 1e9 })
 
-	// Relation streaming counters sample the relation package's process-wide
-	// atomics (same caveat as the market allocator counters below: several
-	// engines in one process all report the process totals).
+	// The relation streaming and revenue-allocator counters sample their
+	// packages' process-wide atomics (allocators are value types), so they
+	// are read once, not per engine.
 	reg.NewCounterFunc("relation_rows_streamed_total",
 		"Rows drained through relation iterator pipelines into materialized results.",
-		func() float64 {
-			rows, _ := relation.StreamCounters()
-			return float64(rows)
-		})
+		func() float64 { rows, _ := relation.StreamCounters(); return float64(rows) })
 	reg.NewCounterFunc("relation_materializations_total",
 		"Iterator pipelines materialized into relations.",
-		func() float64 {
-			_, mats := relation.StreamCounters()
-			return float64(mats)
-		})
-
-	reg.NewCounterFunc("engine_price_seconds_total",
-		"Cumulative wall-clock time spent in the price stage of matching rounds.",
-		func() float64 { return float64(e.stPriceNanos.Load()) / 1e9 })
-
-	// Revenue-allocator counters. These sample the market package's
-	// process-wide atomics (allocators are value types), so with several
-	// engines in one process each registry reports the same process totals.
+		func() float64 { _, mats := relation.StreamCounters(); return float64(mats) })
 	reg.NewCounterFunc("market_allocator_evals_total",
 		"Characteristic-function evaluations run by revenue allocators.",
 		func() float64 { return float64(market.AllocCounters().Evals) })

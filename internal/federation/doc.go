@@ -28,8 +28,9 @@
 // engine uses for intake queues). A seller's datasets live on the seller's
 // home shard; a buyer's funds and requests live on the buyer's. Epochs run
 // per shard, concurrently — the perf point of the whole layer: N shards
-// drain, apply, build and match in parallel, and `-shards 1` degrades to
-// exactly the single-arbiter behavior (same hash, same order, same bytes).
+// drain, apply, build and match in parallel, and `-shards 1` is exactly the
+// single-arbiter market (same hash, same order, same bytes, bare IDs, and
+// its WAL lineage directly in the market directory).
 //
 // # Routing
 //
@@ -72,8 +73,9 @@
 //
 // # Observability
 //
-// All shards share one registry: unlabeled histogram families aggregate
-// across shards by construction, per-shard views carry a `shard` label
-// under dedicated engine_shard_* names, and the federation registers the
-// process-wide sampled families once, summed (see engine.Config.ShardLabel).
+// All shards share one registry: unlabeled histogram, counter and WAL
+// families aggregate across shards by construction, per-shard views carry a
+// `shard` label under dedicated engine_shard_* names (only with more than
+// one shard), and the market registers the sampled families once over all
+// its shards plus the coordinator (engine.RegisterSampledMetrics).
 package federation

@@ -5,6 +5,7 @@
 package federation
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -34,24 +35,28 @@ type Config struct {
 	Shards int
 	// Dir, when non-empty, makes the federation durable: each shard gets an
 	// independent WAL + snapshot lineage under <Dir>/shard-<i>, and the
-	// coordinator log lives at <Dir>/coord.log. Empty = fully in-memory.
+	// coordinator log lives at <Dir>/coord.log. A one-shard market keeps its
+	// lineage directly in Dir — the single-arbiter layout, so a WAL
+	// directory written by a bare wal.Boot engine boots as is. Empty = fully
+	// in-memory.
 	Dir string
 	// Sync is the per-shard WAL fsync policy (default wal.SyncEpoch).
 	Sync wal.SyncPolicy
 	// SegmentBytes is the per-shard WAL segment size (0 = wal default).
 	SegmentBytes int64
-	// Engine is the per-shard engine template. Metrics and ShardLabel are
-	// managed by the federation; everything else applies to each shard
-	// verbatim (so EpochEvery > 0 gives every shard — and the coordinator —
-	// a periodic epoch).
+	// Engine is the per-shard engine template. Metrics, ShardLabel and
+	// Persister are managed by the federation; everything else applies to
+	// each shard verbatim (so EpochEvery > 0 gives every shard — and the
+	// coordinator — a periodic epoch).
 	Engine engine.Config
 	// Platform is the per-shard market design. Every shard must share one
 	// design: the coordinator prices cross-shard mashups on a scratch
 	// platform built from these same options.
 	Platform core.Options
-	// Metrics, when non-nil, receives federation telemetry: each shard's
-	// instruments carry a `shard` label (engine.Config.ShardLabel), and the
-	// federation registers the process-wide aggregates once.
+	// Metrics, when non-nil, receives the market's telemetry: engine and
+	// WAL families summed over the shards under their single-engine names,
+	// plus — with more than one shard — per-shard views under a `shard`
+	// label (engine.Config.ShardLabel) and the coordinator's families.
 	Metrics *obs.Registry
 
 	// testCrash, when non-nil, is the crash-injection hook for the 2PC kill
@@ -74,14 +79,28 @@ type Shard struct {
 	Index    int
 	Platform *core.Platform
 	Engine   *engine.Engine
-	WAL      *wal.Log // nil when in-memory
-	Dir      string   // "" when in-memory
+	WAL      *wal.Log       // nil when in-memory
+	Dir      string         // "" when in-memory
+	Boot     wal.BootResult // what recovery found in Dir (zero when in-memory)
+}
+
+// ErrNoSnapshotLineage is SnapshotAll's refusal on a market without a WAL
+// directory.
+var ErrNoSnapshotLineage = errors.New("federation: in-memory market has no snapshot lineage")
+
+// Checkpoint is one shard snapshot written by SnapshotAll: its path and the
+// last event seq it covers.
+type Checkpoint struct {
+	Path string
+	Seq  int
 }
 
 // Market is the federation: the routing surface in front of the shards and
 // the cross-shard coordinator behind them. Its submit/ticket/stats surface
 // mirrors *engine.Engine so callers (the gateway, benchmarks) can swap one
-// for the other.
+// for the other. A one-shard market is the single-arbiter market: IDs stay
+// shard-local ("sub-000001", not "s0:sub-000001") and every engine and WAL
+// family keeps its unlabeled name.
 type Market struct {
 	cfg    Config
 	shards []*Shard
@@ -122,20 +141,23 @@ func Open(cfg Config) (*Market, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		ecfg := cfg.Engine
 		ecfg.Metrics = cfg.Metrics
-		ecfg.ShardLabel = strconv.Itoa(i)
+		ecfg.ShardLabel = ""
 		ecfg.Persister = nil
-		sh := &Shard{Index: i}
-		if cfg.Dir != "" {
-			sh.Dir = filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i))
-			// Shard WALs skip wal-level metrics: N logs setting the same
-			// unlabeled wal_segments gauge would flap it meaninglessly.
-			p, e, w, _, err := wal.Boot(cfg.Platform, ecfg, wal.Options{
-				Dir: sh.Dir, Policy: cfg.Sync, SegmentBytes: cfg.SegmentBytes})
+		sh := &Shard{Index: i, Dir: cfg.Dir}
+		if cfg.Shards > 1 {
+			ecfg.ShardLabel = strconv.Itoa(i)
+			if cfg.Dir != "" {
+				sh.Dir = filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i))
+			}
+		}
+		if sh.Dir != "" {
+			p, e, w, res, err := wal.Boot(cfg.Platform, ecfg, wal.Options{
+				Dir: sh.Dir, Policy: cfg.Sync, SegmentBytes: cfg.SegmentBytes, Metrics: cfg.Metrics})
 			if err != nil {
 				m.closeShards()
 				return nil, fmt.Errorf("federation: boot shard %d: %w", i, err)
 			}
-			sh.Platform, sh.Engine, sh.WAL = p, e, w
+			sh.Platform, sh.Engine, sh.WAL, sh.Boot = p, e, w, res
 		} else {
 			p, err := core.NewPlatform(cfg.Platform)
 			if err != nil {
@@ -161,8 +183,18 @@ func Open(cfg Config) (*Market, error) {
 	for _, sh := range m.shards {
 		m.router.seedFromShard(sh.Index, sh.Platform.DatasetStates())
 	}
-	registerFederationMetrics(cfg.Metrics, m)
+	m.registerMetrics(cfg.Metrics)
 	return m, nil
+}
+
+// Wrap serves a caller-built platform and engine as a one-shard market. The
+// caller keeps the engine's lifecycle (Start/Stop) and its persister; the
+// market has no snapshot lineage and registers no telemetry of its own.
+func Wrap(p *core.Platform, eng *engine.Engine) *Market {
+	m := &Market{cfg: Config{Shards: 1}, router: newRouter(1), stop: make(chan struct{})}
+	m.shards = []*Shard{{Index: 0, Platform: p, Engine: eng}}
+	m.coord = newCoordinator(m, nil)
+	return m
 }
 
 func (m *Market) closeShards() {
@@ -238,6 +270,31 @@ func (m *Market) NumShards() int { return len(m.shards) }
 
 // --- routing surface ------------------------------------------------------
 
+// ShardID is the federation form of a shard-local ticket or transaction ID:
+// the bare ID on a one-shard market, "s<i>:<id>" otherwise.
+func (m *Market) ShardID(shard int, id string) string {
+	if len(m.shards) == 1 {
+		return id
+	}
+	return shardTicket(shard, id)
+}
+
+// route resolves a federation ID (see ShardID) to its shard and local form.
+// Coordinator tickets ("x:...") route nowhere.
+func (m *Market) route(id string) (shard int, local string, ok bool) {
+	if strings.HasPrefix(id, "x:") {
+		return 0, "", false
+	}
+	if len(m.shards) == 1 {
+		return 0, id, true
+	}
+	s, local, ok := splitShardID(id)
+	if !ok || s >= len(m.shards) {
+		return 0, "", false
+	}
+	return s, local, true
+}
+
 // SubmitRegister files a participant registration with its home shard.
 func (m *Market) SubmitRegister(name string, funds float64) (string, error) {
 	s := HomeOf(name, len(m.shards))
@@ -245,7 +302,7 @@ func (m *Market) SubmitRegister(name string, funds float64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return shardTicket(s, tk), nil
+	return m.ShardID(s, tk), nil
 }
 
 // SubmitShare files a dataset share with the seller's home shard and
@@ -259,7 +316,7 @@ func (m *Market) SubmitShare(seller string, id catalog.DatasetID, rel *relation.
 		return "", err
 	}
 	m.router.addRelation(s, rel)
-	return shardTicket(s, tk), nil
+	return m.ShardID(s, tk), nil
 }
 
 // SubmitRequest routes a buyer's want: to the home shard when its columns
@@ -278,7 +335,7 @@ func (m *Market) SubmitRequestPriority(want dod.Want, f *wtp.Function, priority 
 	if err != nil {
 		return "", err
 	}
-	return shardTicket(home, tk), nil
+	return m.ShardID(home, tk), nil
 }
 
 // SubmitReport files an ex-post value report for a shard-local transaction.
@@ -288,37 +345,48 @@ func (m *Market) SubmitReport(txID string, reported, trueValue float64) (string,
 	if strings.HasPrefix(txID, "xtx-") {
 		return "", fmt.Errorf("federation: cross-shard transaction %s settled up-front; no ex-post report", txID)
 	}
-	s, local, ok := splitShardID(txID)
-	if !ok || s >= len(m.shards) {
+	s, local, ok := m.route(txID)
+	if !ok {
 		return "", fmt.Errorf("federation: unknown transaction %q", txID)
 	}
 	tk, err := m.shards[s].Engine.SubmitReport(local, reported, trueValue)
 	if err != nil {
 		return "", err
 	}
-	return shardTicket(s, tk), nil
+	return m.ShardID(s, tk), nil
 }
 
 // Ticket resolves a federation ticket: coordinator tickets ("x:...") from
-// the coordinator, shard tickets ("s<i>:...") from their shard with IDs
-// rewritten back to federation form.
+// the coordinator, shard tickets from their shard with IDs rewritten back to
+// federation form.
 func (m *Market) Ticket(id string) (engine.Ticket, bool) {
 	if strings.HasPrefix(id, "x:") {
 		return m.coord.ticket(id)
 	}
-	s, local, ok := splitShardID(id)
-	if !ok || s >= len(m.shards) {
+	s, local, ok := m.route(id)
+	if !ok {
 		return engine.Ticket{}, false
 	}
 	t, ok := m.shards[s].Engine.Ticket(local)
 	if !ok {
 		return engine.Ticket{}, false
 	}
-	t.ID = shardTicket(s, t.ID)
+	t.ID = m.ShardID(s, t.ID)
 	if t.TxID != "" {
-		t.TxID = shardTicket(s, t.TxID)
+		t.TxID = m.ShardID(s, t.TxID)
 	}
 	return t, true
+}
+
+// TicketTrace returns the stamped pipeline stages of a shard ticket's span,
+// from the shard that owns it (nil for coordinator tickets, with telemetry
+// off, or once the span is evicted).
+func (m *Market) TicketTrace(id string) map[obs.Stage]time.Time {
+	s, local, ok := m.route(id)
+	if !ok {
+		return nil
+	}
+	return m.shards[s].Engine.TicketTrace(local)
 }
 
 // Balance returns a participant's ledger balance on its home shard.
@@ -386,10 +454,14 @@ func (m *Market) CoordRound() int {
 // Stats merges every shard's engine stats into one market-wide view:
 // throughput counters sum; process-wide gauges (allocator counters, policy,
 // worker config) come from shard 0; cross-shard settles count as matches.
+// Each shard is read once.
 func (m *Market) Stats() engine.Stats {
-	var agg engine.Stats
-	for i, sh := range m.shards {
-		s := sh.Engine.Stats()
+	per := m.ShardStats()
+	agg := per[0]
+	if len(per) > 1 && agg.PersistErr != "" {
+		agg.PersistErr = "shard 0: " + agg.PersistErr
+	}
+	for i, s := range per[1:] {
 		agg.Epochs += s.Epochs
 		agg.Submitted += s.Submitted
 		agg.Applied += s.Applied
@@ -410,32 +482,15 @@ func (m *Market) Stats() engine.Stats {
 		agg.PriceMillis += s.PriceMillis
 		agg.MatchesPerSec += s.MatchesPerSec
 		agg.LastPersisted += s.LastPersisted
-		if s.Uptime > agg.Uptime {
-			agg.Uptime = s.Uptime
-		}
+		agg.Uptime = max(agg.Uptime, s.Uptime)
 		if s.PersistErr != "" && agg.PersistErr == "" {
-			agg.PersistErr = fmt.Sprintf("shard %d: %s", i, s.PersistErr)
-		}
-		if i == 0 {
-			agg.Policy = s.Policy
-			agg.DoDWorkers = s.DoDWorkers
-			agg.AllocEvals = s.AllocEvals
-			agg.AllocMemoHits = s.AllocMemoHits
-			agg.AllocExact = s.AllocExact
-			agg.AllocSampled = s.AllocSampled
-			agg.AllocEscalations = s.AllocEscalations
+			agg.PersistErr = fmt.Sprintf("shard %d: %s", i+1, s.PersistErr)
 		}
 	}
 	settled, _ := m.coord.counters()
 	agg.Matched += settled
 	agg.OpenRequests += m.coord.pendingCount()
 	if agg.Uptime > 0 {
-		// Recompute the blended rate from the merged counters so the
-		// cross-shard settles participate.
-		agg.MatchesPerSec = 0
-		for _, sh := range m.shards {
-			agg.MatchesPerSec += sh.Engine.Stats().MatchesPerSec
-		}
 		agg.MatchesPerSec += float64(settled) / agg.Uptime.Seconds()
 	}
 	return agg
@@ -459,105 +514,50 @@ func (m *Market) CoordStats() (pending int, settled, aborted uint64) {
 
 // --- snapshots ------------------------------------------------------------
 
-// SnapshotAll snapshots every shard and prunes its covered WAL segments,
-// all under the coordinator mutex — no shard can be mid-2PC in the
-// resulting snapshot set, so the per-shard snapshots are mutually
-// consistent with the coordinator log. Returns the snapshot paths.
-func (m *Market) SnapshotAll() ([]string, error) {
+// SnapshotAll snapshots every shard and prunes its WAL behind the newest two
+// checkpoints (the older one is the corruption fallback), all under the
+// coordinator mutex — no shard can be mid-2PC in the resulting snapshot
+// set, so the per-shard snapshots are mutually consistent with the
+// coordinator log. Returns one checkpoint per shard, index-aligned.
+func (m *Market) SnapshotAll() ([]Checkpoint, error) {
 	if m.cfg.Dir == "" {
-		return nil, fmt.Errorf("federation: in-memory market has no snapshot lineage")
+		return nil, ErrNoSnapshotLineage
 	}
 	m.coordMu.Lock()
 	defer m.coordMu.Unlock()
-	paths := make([]string, 0, len(m.shards))
+	out := make([]Checkpoint, 0, len(m.shards))
 	for _, sh := range m.shards {
 		snap, err := sh.Engine.Snapshot()
 		if err != nil {
-			return paths, fmt.Errorf("federation: snapshot shard %d: %w", sh.Index, err)
+			return out, fmt.Errorf("federation: snapshot shard %d: %w", sh.Index, err)
 		}
 		p, err := wal.WriteSnapshot(sh.Dir, snap)
 		if err != nil {
-			return paths, err
+			return out, err
 		}
 		if _, _, err := wal.PruneAfterSnapshot(sh.Dir, sh.WAL); err != nil {
-			return paths, err
+			return out, err
 		}
-		paths = append(paths, p)
+		out = append(out, Checkpoint{Path: p, Seq: snap.TakenAtSeq})
 	}
-	return paths, nil
+	return out, nil
 }
 
-// registerFederationMetrics registers the process-wide sampled families the
-// per-shard engines skip (ShardLabel gates them off: several shards
-// registering one closure under the same name would shadow each other),
-// aggregated across shards, under the exact names a single engine uses —
-// dashboards keep working unchanged. Uses StatsLite — the scrape-safe
-// counter view — so a scrape never waits on a shard's in-flight epoch.
-func registerFederationMetrics(reg *obs.Registry, m *Market) {
+// registerMetrics registers the sampled engine families once, summed over
+// every shard plus the coordinator's settles and queue, and the
+// federation's own families.
+func (m *Market) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	sum := func(f func(engine.Stats) float64) func() float64 {
-		return func() float64 {
-			var t float64
-			for _, sh := range m.shards {
-				t += f(sh.Engine.StatsLite())
-			}
-			return t
-		}
+	engs := make([]*engine.Engine, len(m.shards))
+	for i, sh := range m.shards {
+		engs[i] = sh.Engine
 	}
-	sumCache := func(f func(dod.CacheStats) float64) func() float64 {
-		return func() float64 {
-			var t float64
-			for _, sh := range m.shards {
-				t += f(sh.Platform.DoDCacheStats())
-			}
-			return t
-		}
-	}
-	reg.NewCounterFunc("engine_epochs_total", "Counted epochs since boot (all shards).",
-		sum(func(s engine.Stats) float64 { return float64(s.Epochs) }))
-	reg.NewCounterFunc("engine_submitted_total", "Submissions accepted into intake (all shards).",
-		sum(func(s engine.Stats) float64 { return float64(s.Submitted) }))
-	reg.NewCounterFunc("engine_applied_total", "Submissions applied successfully (all shards).",
-		sum(func(s engine.Stats) float64 { return float64(s.Applied) }))
-	reg.NewCounterFunc("engine_matched_total", "Requests settled by matching rounds (all shards + cross-shard).",
-		func() float64 {
-			var t float64
-			for _, sh := range m.shards {
-				t += float64(sh.Engine.StatsLite().Matched)
-			}
-			settled, _ := m.coord.counters()
-			return t + float64(settled)
-		})
-	reg.NewCounterFunc("engine_failed_total", "Submissions rejected at apply time (all shards).",
-		sum(func(s engine.Stats) float64 { return float64(s.Failed) }))
-	reg.NewGaugeFunc("engine_pending_submissions", "Submissions queued across all intake shards (all shards).",
-		sum(func(s engine.Stats) float64 { return float64(s.Pending) }))
-	reg.NewGaugeFunc("arbiter_open_requests", "Requests filed but not yet matched (all shards + coordinator queue).",
-		func() float64 {
-			var t float64
-			for _, sh := range m.shards {
-				t += float64(sh.Platform.OpenRequestCount())
-			}
-			return t + float64(m.coord.pendingCount())
-		})
-	reg.NewGaugeFunc("arbiter_unmet_wants", "Distinct wanted columns carrying unmet-demand signals (all shards).",
-		func() float64 {
-			var t float64
-			for _, sh := range m.shards {
-				t += float64(sh.Platform.UnmetWantCount())
-			}
-			return t
-		})
-	reg.NewCounterFunc("dod_builds_total", "Beam searches run by the DoD engines (all shards).",
-		sumCache(func(c dod.CacheStats) float64 { return float64(c.Builds) }))
-	reg.NewCounterFunc("dod_cache_hits_total", "Version-valid candidate-cache reuses (all shards).",
-		sumCache(func(c dod.CacheStats) float64 { return float64(c.Hits) }))
-	reg.NewCounterFunc("dod_cache_stale_total", "Cache lookups invalidated by a catalog version bump (all shards).",
-		sumCache(func(c dod.CacheStats) float64 { return float64(c.Stale) }))
-	reg.NewCounterFunc("dod_subjoin_memo_hits_total", "Sub-join memo reuses during candidate materialization (all shards).",
-		sumCache(func(c dod.CacheStats) float64 { return float64(c.SubJoinHits) }))
+	engine.RegisterSampledMetrics(reg, engs, func() (uint64, int) {
+		settled, _ := m.coord.counters()
+		return settled, m.coord.pendingCount()
+	})
 	reg.NewGaugeFunc("federation_shards", "Arbiter shards in this market.",
 		func() float64 { return float64(len(m.shards)) })
 	reg.NewGaugeFunc("federation_coordinator_pending_wants", "Cross-shard wants awaiting settlement.",

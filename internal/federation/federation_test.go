@@ -302,9 +302,9 @@ func TestUnmatchableSpanningWantStaysPending(t *testing.T) {
 	}
 }
 
-// TestSingleShardFederationMatchesBareEngine: with -shards 1 the federation
-// is a pass-through — the underlying shard's state is byte-identical to a
-// bare engine driven with the same submissions.
+// TestSingleShardFederationMatchesBareEngine: a one-shard federation is the
+// single-arbiter market — the underlying shard's state is byte-identical to
+// a bare engine driven with the same submissions.
 func TestSingleShardFederationMatchesBareEngine(t *testing.T) {
 	ecfg := engine.Config{Shards: 4}
 	drive := func(sub func(kind string, args ...interface{}) (string, error)) {
@@ -353,9 +353,7 @@ func TestSingleShardFederationMatchesBareEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ShardLabel mirrors what the federation sets on its only shard — it is
-	// observational only and must not (and does not) reach any logged byte.
-	e := engine.New(p, engine.Config{Shards: 4, ShardLabel: "0"})
+	e := engine.New(p, ecfg)
 	drive(func(kind string, args ...interface{}) (string, error) {
 		switch kind {
 		case "register":

@@ -32,10 +32,10 @@ func shardTicket(shard int, id string) string {
 	return fmt.Sprintf("s%d:%s", shard, id)
 }
 
-// ShardID is the exported form of the federation's ID scheme: it prefixes a
-// shard-local ticket or transaction ID with its shard ("s2:tx-000017"). The
-// gateway uses it to present per-shard views (events, settlements) under the
-// same IDs the routing surface hands out.
+// ShardID is the exported form of the multi-shard ID scheme: it prefixes a
+// shard-local ticket or transaction ID with its shard ("s2:tx-000017"). A
+// one-shard market hands out bare IDs instead; Market.ShardID picks the
+// right form for any shard count.
 func ShardID(shard int, id string) string { return shardTicket(shard, id) }
 
 // splitShardID parses a "s<i>:<id>" federation ID back into its shard and

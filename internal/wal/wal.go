@@ -78,9 +78,12 @@ type Log struct {
 	mFsync    *obs.Histogram
 	mSegments *obs.Gauge
 	mBytes    *obs.Counter
+	liveSegs  int // this log's contribution to wal_segments
 }
 
-// initMetrics registers the WAL families and seeds the segment gauge.
+// initMetrics registers the WAL families and adds this log's live segments
+// to the segment gauge. The gauge moves by deltas, so the logs of a
+// federation's shards, sharing one registry, sum into it.
 func (w *Log) initMetrics(reg *obs.Registry, segments, truncations int) {
 	if reg == nil {
 		return
@@ -95,7 +98,13 @@ func (w *Log) initMetrics(reg *obs.Registry, segments, truncations int) {
 		"Bytes appended to WAL segments since open.")
 	reg.NewCounter("wal_recovery_truncations_total",
 		"Torn tails truncated during recovery scans.").Add(float64(truncations))
-	w.mSegments.Set(float64(segments))
+	w.addSegments(segments)
+}
+
+// addSegments moves this log's live-segment count (and the gauge) by n.
+func (w *Log) addSegments(n int) {
+	w.liveSegs += n
+	w.mSegments.Add(float64(n))
 }
 
 func segmentName(firstSeq int) string { return fmt.Sprintf("wal-%010d.seg", firstSeq) }
@@ -374,7 +383,7 @@ func (w *Log) rotate() error {
 	w.f = f
 	w.curName = name
 	w.segBytes = 0
-	w.mSegments.Add(1)
+	w.addSegments(1)
 	return nil
 }
 
@@ -424,7 +433,7 @@ func (w *Log) PruneCovered(watermark int) (int, error) {
 		removed++
 	}
 	if removed > 0 {
-		w.mSegments.Add(float64(-removed))
+		w.addSegments(-removed)
 		if err := syncDir(w.opt.Dir); err != nil {
 			return removed, err
 		}
@@ -452,6 +461,7 @@ func (w *Log) Close() error {
 	syncErr := w.f.Sync()
 	closeErr := w.f.Close()
 	w.f = nil
+	w.addSegments(-w.liveSegs)
 	if w.err == nil {
 		w.err = fmt.Errorf("wal: closed")
 	}
