@@ -144,6 +144,49 @@ func New(design *market.Design) (*Arbiter, error) {
 	return a, nil
 }
 
+// Fork returns a private arbiter for pricing one buyer's wants against a's
+// catalog. It shares a's catalog, index, discovery and DoD engines — so a's
+// candidate cache —, its dataset metadata, design and policy, but starts
+// with an empty request pool, history, demand signals and purchase record,
+// its own license grants (over a copy of a's terms) and its own ledger. The
+// ledger opens the arbiter account, then buyer with funds, then every other
+// account of a's ledger at zero: the fork files, prices and settles exactly
+// as a fresh arbiter that funded buyer and then re-shared a's datasets in
+// order would, request and transaction IDs included, without re-profiling
+// or re-indexing anything. Settling on the fork never touches a.
+//
+// The shared state is read without a's lock: the caller must not mutate a
+// (share, update, register transforms) while a fork is in use, and must
+// never mutate the catalog through a fork.
+func (a *Arbiter) Fork(buyer string, funds ledger.Currency) *Arbiter {
+	f := &Arbiter{
+		Design:        a.Design,
+		Catalog:       a.Catalog,
+		Ledger:        ledger.New(),
+		Licenses:      a.Licenses.CloneTerms(),
+		Policy:        a.Policy,
+		ix:            a.ix,
+		disc:          a.disc,
+		dod:           a.dod,
+		metas:         a.metas,
+		reqByID:       map[string]*Request{},
+		unmet:         map[string]int{},
+		purchases:     map[string]map[string]int{},
+		pendingExPost: map[string]*exPostState{},
+		rng:           0x9e3779b97f4a7c15,
+	}
+	_ = f.Ledger.Open(ArbiterAccount, 0)
+	// A buyer named like an already-open account keeps that account, as a
+	// fresh platform's failed registration would.
+	_ = f.Ledger.Open(buyer, funds)
+	for _, acct := range a.Ledger.Accounts() {
+		if !f.Ledger.Exists(acct) {
+			_ = f.Ledger.Open(acct, 0)
+		}
+	}
+	return f
+}
+
 // DoD exposes the dataset-on-demand engine (negotiation registers
 // transforms through it).
 func (a *Arbiter) DoD() *dod.Engine { return a.dod }
@@ -198,16 +241,15 @@ func (a *Arbiter) UpdateDataset(id catalog.DatasetID, rel *relation.Relation, co
 			return false // nothing applied; keep the cache warm
 		}
 		a.ix.Add(profile.Profile(string(id), rel))
+		// Inside the seam too: every state change precedes the version
+		// bump, so a reader that saw the old version re-reads the new meta.
+		if m, ok := a.metas[string(id)]; ok {
+			m.UpdatedAt = time.Now()
+			a.metas[string(id)] = m
+		}
 		return true
 	})
-	if uerr != nil {
-		return uerr
-	}
-	if m, ok := a.metas[string(id)]; ok {
-		m.UpdatedAt = time.Now()
-		a.metas[string(id)] = m
-	}
-	return nil
+	return uerr
 }
 
 // SubmitRequest files a buyer's data need. The returned ID tracks it through

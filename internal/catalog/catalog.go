@@ -106,9 +106,28 @@ func (c *Catalog) Get(id DatasetID) (*relation.Relation, error) {
 		return nil, fmt.Errorf("catalog: dataset %s access quota %d exhausted", id, e.AccessQuota)
 	}
 	e.reads++
+	return currentRel(e)
+}
+
+// Current returns the current relation for a dataset without counting a
+// read against its access quota: the quota meters buyer access, while the
+// platform's own reads (snapshots, the federation's catalog mirror) are
+// bookkeeping and must neither use it up nor fail once it is spent.
+func (c *Catalog) Current(id DatasetID) (*relation.Relation, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	e, ok := c.entries[id]
+	if !ok {
+		return nil, fmt.Errorf("catalog: dataset %s not registered", id)
+	}
+	return currentRel(e)
+}
+
+// currentRel returns an entry's latest relation. Caller holds c.mu.
+func currentRel(e *Entry) (*relation.Relation, error) {
 	s := e.Current()
 	if s == nil {
-		return nil, fmt.Errorf("catalog: dataset %s has no snapshots", id)
+		return nil, fmt.Errorf("catalog: dataset %s has no snapshots", e.ID)
 	}
 	return s.Rel, nil
 }

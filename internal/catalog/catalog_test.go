@@ -134,3 +134,32 @@ func TestListing(t *testing.T) {
 		t.Errorf("Len = %d", c.Len())
 	}
 }
+
+// TestCurrentDoesNotCountQuota: Current reads the latest version without
+// using up the access quota, and keeps working once Get has spent it.
+func TestCurrentDoesNotCountQuota(t *testing.T) {
+	c := New()
+	if err := c.Register("d", "s", rel("d", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetQuota("d", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Current("d"); err != nil {
+			t.Fatalf("Current read %d: %v", i, err)
+		}
+	}
+	if _, err := c.Get("d"); err != nil {
+		t.Fatalf("Get after Current reads: %v", err)
+	}
+	if _, err := c.Get("d"); err == nil {
+		t.Fatal("second Get should exceed quota 1")
+	}
+	if _, err := c.Current("d"); err != nil {
+		t.Fatalf("Current after the quota is spent: %v", err)
+	}
+	if _, err := c.Current("missing"); err == nil {
+		t.Fatal("Current of an unregistered dataset should fail")
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/market"
 	"repro/internal/mltask"
 	"repro/internal/workload"
+	"repro/internal/wtp"
 )
 
 func TestNewPlatformDesignSelection(t *testing.T) {
@@ -80,5 +81,34 @@ func TestPlatformPaperScenario(t *testing.T) {
 	// Idempotent accessors.
 	if p.Seller("seller1") != s1 || p.Buyer("b1", 0) != b {
 		t.Error("platform must cache participant handles")
+	}
+}
+
+// TestDatasetStatesIgnoresAccessQuota: the platform's own catalog reads
+// (snapshots, the federation's mirror builds) never count against a
+// dataset's access quota — a dataset with quota 1 stays in two consecutive
+// snapshots, and a buyer's read is still allowed afterwards.
+func TestDatasetStatesIgnoresAccessQuota(t *testing.T) {
+	p, err := NewPlatform(Options{Design: "posted-baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := workload.NewPaperExample(20, 1)
+	if err := p.ShareDataset("s1", "d1", ex.S1, wtp.DatasetMeta{Dataset: "d1"}, license.Terms{Kind: license.Open}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Arbiter.Catalog.SetQuota("d1", 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if snap := p.Snapshot(); len(snap.Datasets) != 1 || snap.Datasets[0].ID != "d1" {
+			t.Fatalf("snapshot %d lost the quota-1 dataset: %+v", i, snap.Datasets)
+		}
+	}
+	if _, err := p.Arbiter.Catalog.Get("d1"); err != nil {
+		t.Fatalf("buyer read after snapshots: %v", err)
+	}
+	if _, err := p.Arbiter.Catalog.Get("d1"); err == nil {
+		t.Fatal("second buyer read should exceed quota 1")
 	}
 }

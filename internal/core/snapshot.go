@@ -250,13 +250,15 @@ type PlatformSnapshot struct {
 
 // DatasetStates returns the currently shared datasets in share order, each
 // with the relation version, metadata and license terms matching rounds
-// consult. Snapshots embed this; the federation router also reads it to
-// mirror a shard's catalog into a scratch platform for cross-shard matching.
+// consult. Snapshots embed this; the federation also reads it to seed its
+// router and to build the coordinator's catalog mirror. Relations are read
+// with Catalog.Current, so these reads never count against (or stop at) a
+// dataset's access quota.
 func (p *Platform) DatasetStates() []DatasetState {
 	a := p.Arbiter
 	var out []DatasetState
 	for _, id := range a.SharedIDs() {
-		rel, err := a.Catalog.Get(catalog.DatasetID(id))
+		rel, err := a.Catalog.Current(catalog.DatasetID(id))
 		if err != nil {
 			continue
 		}

@@ -336,3 +336,39 @@ func TestEngineServerIsOneShardMarket(t *testing.T) {
 		t.Fatalf("snapshot on an engine server: %v, want 503", err)
 	}
 }
+
+// TestShareIDCollision409: on two shards, sharing a dataset ID another
+// shard already holds answers 409 Conflict and files nothing; the first
+// owner keeps the dataset. On one shard the duplicate is accepted at intake
+// and its ticket fails at the epoch, as it always did.
+func TestShareIDCollision409(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			m, srv := openMarket(t, shards, "", nil)
+			c := NewClient(srv.URL)
+			first, second := fedNameOn(t, "first", 0, shards), fedNameOn(t, "second", shards-1, shards)
+			settle(t, c, mustTicket(t)(c.ShareDatasetAsync(first, "dup", asyncRelation("dup", 5), "open")))
+			rec := fedDo(t, srv.Config.Handler, "POST", "/async/datasets",
+				DatasetReq{Seller: second, ID: "dup", Relation: asyncRelation("dup", 7), License: "open"}, nil)
+			if shards > 1 {
+				fedWantCode(t, rec, http.StatusConflict)
+			} else {
+				fedWantCode(t, rec, http.StatusAccepted)
+				var tk TicketResp
+				if err := json.Unmarshal(rec.Body.Bytes(), &tk); err != nil {
+					t.Fatal(err)
+				}
+				if got := settle(t, c, tk.Ticket)[0]; got.Status != engine.TicketFailed {
+					t.Fatalf("one-shard duplicate ticket %+v, want failed at the epoch", got)
+				}
+			}
+			cat := m.Shards()[0].Platform.Arbiter.Catalog
+			if owner := cat.Owner("dup"); owner != first {
+				t.Fatalf("owner of dup is %q, want %q", owner, first)
+			}
+			if rel, err := cat.Current("dup"); err != nil || rel.NumRows() != 5 {
+				t.Fatalf("first owner's copy changed: %v (err %v)", rel, err)
+			}
+		})
+	}
+}

@@ -170,9 +170,13 @@ const PriorityHeader = "X-DMMS-Priority"
 
 // writeSubmitErr maps an engine intake error onto the wire: admission
 // rejections become 429 Too Many Requests with a Retry-After header (whole
-// seconds, rounded up) so well-behaved clients back off; anything else is a
-// plain 400.
+// seconds, rounded up) so well-behaved clients back off; a dataset ID
+// another shard holds is 409 Conflict; anything else is a plain 400.
 func writeSubmitErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, federation.ErrDatasetIDTaken) {
+		writeErr(w, http.StatusConflict, err)
+		return
+	}
 	var oe *engine.OverloadError
 	if errors.As(err, &oe) {
 		secs := int(math.Ceil(oe.RetryAfter.Seconds()))

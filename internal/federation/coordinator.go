@@ -2,6 +2,7 @@ package federation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,8 +19,8 @@ import (
 
 // coordinator clears the wants no single shard can: requests whose wanted
 // columns span shard catalogs. It keeps a durable queue of such wants (the
-// coordinator log), matches each against a scratch platform mirroring every
-// shard's catalog, and settles the winning mashup with an escrow-style
+// coordinator log), prices each on a fork of one cached platform mirroring
+// every shard's catalog, and settles the winning mashup with an escrow-style
 // two-phase commit across the owning shards:
 //
 //	begin (coord log) → prepare (home shard escrow, WAL event)
@@ -41,8 +42,17 @@ type coordinator struct {
 	wantSeq uint64
 	xidSeq  uint64
 
-	settled uint64 // committed cross-shard transactions
-	aborted uint64 // aborted attempts (prepare failures + presumed aborts)
+	settled      uint64 // committed cross-shard transactions
+	aborted      uint64 // aborted attempts (prepare failures + presumed aborts)
+	mirrorBuilds uint64 // catalog mirror (re)builds
+
+	// mirror is the platform spanning wants are priced against: every
+	// shard's datasets shared in (shard, share) order. mirrorAt holds the
+	// shard catalog versions it was built at; it is rebuilt only when one
+	// of them moved. Both are touched only under Market.coordMu, so the
+	// mirror never changes while a fork of it prices a want.
+	mirror   *core.Platform
+	mirrorAt []uint64
 
 	// crash, when non-nil, is the test hook simulating process death at a
 	// named 2PC boundary: a non-nil return abandons the settle mid-flight
@@ -120,6 +130,12 @@ func (c *coordinator) counters() (settled, aborted uint64) {
 	return c.settled, c.aborted
 }
 
+func (c *coordinator) mirrorBuildCount() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.mirrorBuilds
+}
+
 // dropWant removes a want from the pending queue (terminal outcome reached).
 func (c *coordinator) dropWant(ticket string) {
 	c.mu.Lock()
@@ -154,38 +170,67 @@ func (c *coordinator) round() int {
 	return settled
 }
 
-// match runs the want against a scratch platform mirroring every shard's
-// catalog: the buyer is funded with their real home-shard balance, every
-// shard's datasets are shared in (shard, share) order, and one matching
-// round decides mashup, price and cuts. The scratch ledger is discarded —
-// only the outcome numbers feed the 2PC. Returns nil when no acceptable
-// mashup exists yet (the want stays pending).
+// catalogMirror returns the platform mirroring every shard's catalog,
+// rebuilding it first when some shard's catalog version moved since the
+// last build. The rebuild shares every shard's datasets in (shard, share)
+// order into a fresh platform rather than appending to the old one: share
+// order fixes index and tie-break order and which copy of a colliding ID
+// wins, so only a from-scratch build keeps outcomes identical to pricing on
+// a platform built for the want alone. Versions are read before the
+// dataset states: a share racing the build then leaves the recorded version
+// behind the mirror's content, and the next round rebuilds. Caller holds
+// Market.coordMu.
+func (c *coordinator) catalogMirror() (*core.Platform, error) {
+	versions := make([]uint64, len(c.m.shards))
+	for i, sh := range c.m.shards {
+		versions[i] = sh.Platform.Arbiter.DoD().CatalogVersion()
+	}
+	if c.mirror != nil && slices.Equal(versions, c.mirrorAt) {
+		return c.mirror, nil
+	}
+	p, err := core.NewPlatform(c.m.cfg.Platform)
+	if err != nil {
+		return nil, err
+	}
+	for _, sh := range c.m.shards {
+		for _, d := range sh.Platform.DatasetStates() {
+			terms := license.Terms{Kind: license.Kind(d.License), ExclusivityTaxRate: d.TaxRate}
+			// Market.SubmitShare refuses an ID another shard holds, so a
+			// cross-shard collision can only come from state written before
+			// that check existed; the first copy in (shard, share) order wins.
+			_ = p.ShareDataset(d.Owner, catalog.DatasetID(d.ID), d.Relation, d.Meta, terms)
+		}
+	}
+	c.mirror, c.mirrorAt = p, versions
+	c.mu.Lock()
+	c.mirrorBuilds++
+	c.mu.Unlock()
+	return p, nil
+}
+
+// match prices the want on a fork of the catalog mirror: the buyer is funded
+// with their real home-shard balance, and one matching round decides
+// mashup, price and cuts. The fork shares the mirror's indexes and
+// candidate cache, so a want seen before is a cache hit; its ledger is
+// discarded — only the outcome numbers feed the 2PC. Returns nil when no
+// acceptable mashup exists yet (the want stays pending). Caller holds
+// Market.coordMu.
 func (c *coordinator) match(w *fedWant) (*arbiter.Transaction, error) {
 	want, fn, err := w.spec.Decode()
 	if err != nil {
 		return nil, err
 	}
-	opts := c.m.cfg.Platform
-	p, err := core.NewPlatform(opts)
+	mirror, err := c.catalogMirror()
 	if err != nil {
 		return nil, err
 	}
 	home := HomeOf(w.spec.Buyer, len(c.m.shards))
-	funds := c.m.shards[home].Platform.Arbiter.Ledger.Balance(w.spec.Buyer).Float()
-	p.Buyer(w.spec.Buyer, funds)
-	for _, sh := range c.m.shards {
-		for _, d := range sh.Platform.DatasetStates() {
-			terms := license.Terms{Kind: license.Kind(d.License), ExclusivityTaxRate: d.TaxRate}
-			// Cross-shard ID collisions (two sellers picking the same dataset
-			// ID on different shards) lose the later copy here; shard-local
-			// clearing is untouched.
-			_ = p.ShareDataset(d.Owner, catalog.DatasetID(d.ID), d.Relation, d.Meta, terms)
-		}
-	}
-	if _, err := p.SubmitRequest(want, fn); err != nil {
+	funds := c.m.shards[home].Platform.Arbiter.Ledger.Balance(w.spec.Buyer)
+	fork := mirror.Arbiter.Fork(w.spec.Buyer, funds)
+	if _, err := fork.SubmitRequest(want, fn); err != nil {
 		return nil, err
 	}
-	res, err := p.MatchRound()
+	res, err := fork.MatchRound()
 	if err != nil {
 		return nil, err
 	}

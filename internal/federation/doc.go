@@ -44,11 +44,25 @@
 //
 // # Cross-shard settlement (escrow-style 2PC)
 //
-// The coordinator matches a spanning want on a scratch platform mirroring
-// every shard's catalog (buyer funded with their real home balance), then
-// settles the winning mashup with a two-phase commit whose participant legs
-// are ordinary engine events in each shard's WAL, and whose decisions live
-// in the coordinator's own log (coord.log, JSON lines, fsync per append):
+// The coordinator prices spanning wants against one cached mirror: a
+// private platform holding every shard's datasets, shared in (shard,
+// share) order. It is rebuilt from scratch — never appended to, since share
+// order fixes index order, tie-breaks and which copy of a colliding ID wins
+// — only when some shard's catalog version moved since the last build, and
+// the versions are read before the catalogs, so a share racing a build
+// forces the next round to rebuild. Each want prices on its own fork of
+// the mirror (arbiter.Fork): the fork shares the catalog, index, DoD engine
+// and candidate cache, but files the request, issues grants and settles on
+// its own ledger, funded with the buyer's real home-shard balance, so the
+// mirror is never changed by pricing and a repeated want is a cache hit.
+// The outcome equals pricing on a fresh platform built for the want alone.
+// Dataset IDs are unique market-wide: the router maps each ID to the shard
+// holding or reserving it, and SubmitShare refuses another shard's ID with
+// ErrDatasetIDTaken (a reservation is held until restart, even if its share
+// later fails). The coordinator then settles the winning mashup with a
+// two-phase commit whose participant legs are ordinary engine events in
+// each shard's WAL, and whose decisions live in the coordinator's own log
+// (coord.log, JSON lines, fsync per append):
 //
 //	begin(coord) → prepare: home shard escrows the price (xtx-prepared)
 //	→ decide(coord) → commit home: escrow pays arbiter cut + local seller
@@ -62,7 +76,9 @@
 // idempotent, so recovery re-drives decided transactions safely: undecided
 // at boot → presumed abort (escrow refunded, want retried under a fresh
 // xid); decided-commit → re-drive all legs; decided-abort → finish the
-// abort. No coordinator state exists outside the two logs.
+// abort. No coordinator state exists outside the two logs except the
+// mirror, which is derived: a restarted coordinator rebuilds it on its
+// first spanning want.
 //
 // # Snapshots
 //
@@ -77,5 +93,8 @@
 // families aggregate across shards by construction, per-shard views carry a
 // `shard` label under dedicated engine_shard_* names (only with more than
 // one shard), and the market registers the sampled families once over all
-// its shards plus the coordinator (engine.RegisterSampledMetrics).
+// its shards plus the coordinator (engine.RegisterSampledMetrics). With
+// more than one shard, federation_coord_mirror_builds_total counts mirror
+// builds, so an operator can see one build per catalog change rather than
+// one per spanning want.
 package federation

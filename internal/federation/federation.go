@@ -50,8 +50,8 @@ type Config struct {
 	// coordinator — a periodic epoch).
 	Engine engine.Config
 	// Platform is the per-shard market design. Every shard must share one
-	// design: the coordinator prices cross-shard mashups on a scratch
-	// platform built from these same options.
+	// design: the coordinator prices cross-shard mashups on a catalog
+	// mirror built from these same options.
 	Platform core.Options
 	// Metrics, when non-nil, receives the market's telemetry: engine and
 	// WAL families summed over the shards under their single-engine names,
@@ -87,6 +87,11 @@ type Shard struct {
 // ErrNoSnapshotLineage is SnapshotAll's refusal on a market without a WAL
 // directory.
 var ErrNoSnapshotLineage = errors.New("federation: in-memory market has no snapshot lineage")
+
+// ErrDatasetIDTaken is SubmitShare's refusal of a dataset ID another shard
+// already holds or has reserved: dataset IDs are unique across the whole
+// market, as on a single arbiter.
+var ErrDatasetIDTaken = errors.New("federation: dataset ID taken by another shard")
 
 // Checkpoint is one shard snapshot written by SnapshotAll: its path and the
 // last event seq it covers.
@@ -307,10 +312,16 @@ func (m *Market) SubmitRegister(name string, funds float64) (string, error) {
 
 // SubmitShare files a dataset share with the seller's home shard and
 // optimistically indexes its columns for routing (the share applies at the
-// shard's next epoch; until then wants for those columns simply wait).
+// shard's next epoch; until then wants for those columns simply wait). An
+// ID another shard holds or has reserved is refused with ErrDatasetIDTaken
+// before anything is filed; see router.reserveID for how long a
+// reservation lasts.
 func (m *Market) SubmitShare(seller string, id catalog.DatasetID, rel *relation.Relation,
 	meta wtp.DatasetMeta, terms license.Terms) (string, error) {
 	s := HomeOf(seller, len(m.shards))
+	if err := m.router.reserveID(id, s); err != nil {
+		return "", err
+	}
 	tk, err := m.shards[s].Engine.SubmitShare(seller, id, rel, meta, terms)
 	if err != nil {
 		return "", err
@@ -566,4 +577,9 @@ func (m *Market) registerMetrics(reg *obs.Registry) {
 		func() float64 { s, _ := m.coord.counters(); return float64(s) })
 	reg.NewCounterFunc("federation_xtx_aborted_total", "Cross-shard attempts aborted.",
 		func() float64 { _, a := m.coord.counters(); return float64(a) })
+	if len(m.shards) > 1 {
+		reg.NewCounterFunc("federation_coord_mirror_builds_total",
+			"Coordinator catalog mirror builds (one per observed catalog change, not per want).",
+			func() float64 { return float64(m.coord.mirrorBuildCount()) })
+	}
 }

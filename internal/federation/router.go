@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/dod"
 	"repro/internal/relation"
@@ -65,15 +66,42 @@ func splitShardID(id string) (shard int, local string, ok bool) {
 // waits open at its home shard a little longer, exactly like a single
 // market). Transform-derived columns are invisible here, so wants for them
 // stay at the home shard, where the DoD engine's transforms live.
+//
+// With more than one shard the router also owns the federation-wide dataset
+// ID space: ids maps every dataset ID to the shard that holds or has
+// reserved it, so two shards can never both hold one ID (see reserveID).
 type router struct {
 	shards int
 
 	mu   sync.RWMutex
-	cols map[string]map[int]bool // column name -> shards carrying it
+	cols map[string]map[int]bool   // column name -> shards carrying it
+	ids  map[catalog.DatasetID]int // dataset ID -> shard holding or reserving it
 }
 
 func newRouter(shards int) *router {
-	return &router{shards: shards, cols: map[string]map[int]bool{}}
+	return &router{shards: shards, cols: map[string]map[int]bool{}, ids: map[catalog.DatasetID]int{}}
+}
+
+// reserveID claims a dataset ID for a shard before its share is submitted.
+// An ID another shard holds or has reserved is refused with
+// ErrDatasetIDTaken; the check and the claim happen under one lock, so of
+// two concurrent shares from different shards exactly one wins. A claim by
+// the shard already holding the ID passes: same-shard duplicates fail at the
+// shard's epoch, exactly as on a single arbiter. A reservation is never
+// released: if the share later fails (at intake or at its epoch), the ID
+// stays reserved for its shard until restart, when Open re-seeds the map
+// from what the catalogs actually hold. One shard needs no reservations.
+func (r *router) reserveID(id catalog.DatasetID, shard int) error {
+	if r.shards <= 1 {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if owner, ok := r.ids[id]; ok && owner != shard {
+		return fmt.Errorf("%w: %q is held by shard %d", ErrDatasetIDTaken, id, owner)
+	}
+	r.ids[id] = shard
+	return nil
 }
 
 // addColumns records that a shard holds a dataset with these columns.
@@ -98,11 +126,24 @@ func (r *router) addRelation(shard int, rel *relation.Relation) {
 	r.addColumns(shard, rel.Schema.Names())
 }
 
-// seedFromShard rebuilds a shard's slice of the index from its catalog (used
-// at Open, after recovery replayed the shard's WAL).
+// seedFromShard rebuilds a shard's slice of the index and of the ID map
+// from its catalog (used at Open, after recovery replayed the shard's WAL).
+// Shards seed in index order, so an ID two shards already hold — state
+// written before shares were checked — stays with the lower shard, the copy
+// the coordinator's mirror keeps.
 func (r *router) seedFromShard(shard int, states []core.DatasetState) {
 	for _, d := range states {
 		r.addRelation(shard, d.Relation)
+	}
+	if r.shards <= 1 {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, d := range states {
+		if _, ok := r.ids[catalog.DatasetID(d.ID)]; !ok {
+			r.ids[catalog.DatasetID(d.ID)] = shard
+		}
 	}
 }
 

@@ -109,6 +109,17 @@ func (m *Manager) SetTerms(dataset string, t Terms) error {
 	return nil
 }
 
+// CloneTerms returns a manager carrying a copy of m's terms and no grants.
+func (m *Manager) CloneTerms() *Manager {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := NewManager()
+	for ds, t := range m.terms {
+		out.terms[ds] = t
+	}
+	return out
+}
+
 // TermsFor returns the terms for a dataset (Open by default).
 func (m *Manager) TermsFor(dataset string) Terms {
 	m.mu.Lock()
