@@ -200,9 +200,14 @@ func (a *Arbiter) RegisterParticipant(name string, funds float64) error {
 }
 
 // ShareDataset ingests a seller's dataset: catalog registration, profiling,
-// incremental indexing, metadata capture and license terms.
+// incremental indexing, metadata capture and license terms. The terms are
+// validated before anything is registered, so a rejected share leaves no
+// trace and a retry with valid terms succeeds.
 func (a *Arbiter) ShareDataset(seller string, id catalog.DatasetID, rel *relation.Relation,
 	meta wtp.DatasetMeta, terms license.Terms) error {
+	if err := terms.Validate(); err != nil {
+		return err
+	}
 	if err := a.Catalog.Register(id, seller, rel); err != nil {
 		return err
 	}
@@ -214,12 +219,12 @@ func (a *Arbiter) ShareDataset(seller string, id catalog.DatasetID, rel *relatio
 	meta.Dataset = string(id)
 	a.metas[string(id)] = meta
 	a.shareOrder = append(a.shareOrder, string(id))
-	// Index through the DoD engine's mutation seam: worker-goroutine builds
+	// Index through the DoD engine's share seam: worker-goroutine builds
 	// never see a half-indexed dataset, and the catalog version bump marks
-	// every cached candidate set stale.
-	a.dod.MutateCatalog(func() bool {
+	// stale exactly the cached candidate sets the new dataset could enter;
+	// the rest are re-stamped to the new version and stay warm.
+	a.dod.ShareIntoCatalog(string(id), func() {
 		a.ix.Add(profile.Profile(string(id), rel))
-		return true
 	})
 	a.Ledger.Note(fmt.Sprintf("dataset %s shared by %s (%d rows, license %s)", id, seller, rel.NumRows(), terms.Kind))
 	return nil
@@ -670,7 +675,7 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 			return nil, err
 		}
 		tx.ExPost = true
-		tx.ExPostShares = a.Design.RevenueFractionsCtx(cand.Anno, a.ownersOf(cand.Datasets), nil, actx)
+		tx.ExPostShares = a.Design.PlayerFractions(cand.Players(), cand.Anno, a.ownersOf(cand.Datasets), nil, actx)
 		a.pendingExPost[txID] = &exPostState{tx: tx, deposit: dep, buyer: buyer, fracs: tx.ExPostShares}
 		a.recordPurchase(buyer, cand.Datasets)
 		a.history = append(a.history, tx)
@@ -681,8 +686,11 @@ func (a *Arbiter) settle(req *Request, cand *dod.Candidate, sale market.Sale, ev
 	if err := a.Ledger.Hold(txID, buyer, price, "purchase "+cand.Rel().Name); err != nil {
 		return nil, err
 	}
-	owners := a.ownersOf(cand.Datasets)
-	split := a.Design.ShareRevenueCtx(sale.Price, cand.Anno, owners, nil, actx)
+	split := market.RevenueSplit{SellerCut: map[string]float64{}}
+	if sale.Price > 0 {
+		split = a.Design.ShareFractions(sale.Price,
+			a.Design.PlayerFractions(cand.Players(), cand.Anno, a.ownersOf(cand.Datasets), nil, actx))
+	}
 	if err := a.paySplit(txID, a.Ledger.Escrowed(txID), split.SellerCut); err != nil {
 		return nil, err
 	}

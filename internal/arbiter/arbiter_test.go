@@ -464,3 +464,37 @@ func TestMultipleRoundsIdempotent(t *testing.T) {
 		t.Errorf("open = %v", a.OpenRequests())
 	}
 }
+
+// TestShareWithInvalidTermsLeavesNoTrace: a share whose license terms fail
+// validation is rejected before the catalog registers the ID, so nothing is
+// left half-shared and a retry with valid terms succeeds — as it would on a
+// market rebooted from a log that records only the rejection.
+func TestShareWithInvalidTermsLeavesNoTrace(t *testing.T) {
+	a := setupMarket(t, mkDesign())
+	rel := relation.New("s3", relation.NewSchema(
+		relation.Col("a", relation.KindInt), relation.Col("e", relation.KindFloat)))
+	for i := 0; i < 50; i++ {
+		rel.MustAppend(relation.Int(int64(i)), relation.Float(float64(i)))
+	}
+	ver := a.DoD().CatalogVersion()
+	for _, bad := range []license.Terms{
+		{Kind: "bogus"},
+		{Kind: license.Open, ExclusivityTaxRate: 0.1},
+	} {
+		if err := a.ShareDataset("seller1", "s3", rel, meta("s3"), bad); err == nil {
+			t.Fatalf("share with terms %+v accepted", bad)
+		}
+		if a.Catalog.Len() != 2 || a.Catalog.Owner("s3") != "" {
+			t.Fatalf("rejected share left catalog entry s3 (terms %+v)", bad)
+		}
+		if a.DoD().CatalogVersion() != ver || a.Discovery().Profile("s3") != nil {
+			t.Fatalf("rejected share touched the index (terms %+v)", bad)
+		}
+	}
+	if err := a.ShareDataset("seller1", "s3", rel, meta("s3"), license.Terms{Kind: license.Open}); err != nil {
+		t.Fatalf("retry with valid terms: %v", err)
+	}
+	if a.Licenses.TermsFor("s3").Kind != license.Open || a.Discovery().Profile("s3") == nil {
+		t.Error("retried share not fully applied")
+	}
+}

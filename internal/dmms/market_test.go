@@ -372,3 +372,29 @@ func TestShareIDCollision409(t *testing.T) {
 		})
 	}
 }
+
+// TestShareInvalidTerms400: license terms that fail validation are a 400 at
+// intake on every shard count, so no ticket is filed and, on two shards,
+// the router never reserves the dataset ID for a share that cannot apply —
+// a later valid share of the same ID from any shard succeeds.
+func TestShareInvalidTerms400(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			m, srv := openMarket(t, shards, "", nil)
+			c := NewClient(srv.URL)
+			first, second := fedNameOn(t, "first", 0, shards), fedNameOn(t, "second", shards-1, shards)
+			for _, bad := range []DatasetReq{
+				{Seller: first, ID: "terms", Relation: asyncRelation("terms", 5), License: "bogus"},
+				{Seller: first, ID: "terms", Relation: asyncRelation("terms", 5), License: "open", TaxRate: 0.2},
+			} {
+				fedWantCode(t, fedDo(t, srv.Config.Handler, "POST", "/async/datasets", bad, nil), http.StatusBadRequest)
+			}
+			if got := settle(t, c, mustTicket(t)(c.ShareDatasetAsync(second, "terms", asyncRelation("terms", 7), "open")))[0]; got.Status != engine.TicketDone {
+				t.Fatalf("valid share after rejected ones: %+v", got)
+			}
+			if owner := m.Shards()[federation.HomeOf(second, shards)].Platform.Arbiter.Catalog.Owner("terms"); owner != second {
+				t.Fatalf("owner of terms is %q, want %q", owner, second)
+			}
+		})
+	}
+}

@@ -235,6 +235,9 @@ func datasetTerms(req DatasetReq) (license.Terms, wtp.DatasetMeta, error) {
 		kind = license.Open
 	}
 	terms := license.Terms{Kind: kind, ExclusivityTaxRate: req.TaxRate}
+	if err := terms.Validate(); err != nil {
+		return license.Terms{}, wtp.DatasetMeta{}, err
+	}
 	meta := wtp.DatasetMeta{Dataset: req.ID, UpdatedAt: time.Now(), Author: req.Author, HasProvenance: true}
 	return terms, meta, nil
 }

@@ -5,12 +5,13 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/relation"
 )
 
 // TestEngineStatsExposeBuilderCounters: the /engine/stats surface carries
-// the builder-pool split — BuildMillis, CacheHits, CacheStale and the
-// configured worker count — so operators can see the build/price pipeline
-// working over the wire.
+// the builder-pool split — BuildMillis, CacheHits, CacheStale,
+// CacheRestamped and the configured worker count — so operators can see the
+// build/price pipeline working over the wire.
 func TestEngineStatsExposeBuilderCounters(t *testing.T) {
 	_, _, c, done := asyncFixture(t, engine.Config{Shards: 2, DoDWorkers: 2})
 	defer done()
@@ -77,5 +78,24 @@ func TestEngineStatsExposeBuilderCounters(t *testing.T) {
 		} else if stats.CacheHits <= first.CacheHits {
 			t.Errorf("cache hits did not climb over the wire: %d -> %d", first.CacheHits, stats.CacheHits)
 		}
+	}
+
+	// A share no cached want can use re-stamps the cached set instead of
+	// invalidating it.
+	other := relation.New("s1/d2", relation.NewSchema(
+		relation.Col("memo", relation.KindString), relation.Col("grade", relation.KindFloat)))
+	other.MustAppend(relation.String_("m"), relation.Float(1))
+	if _, err := c.ShareDatasetAsync("s1", "s1/d2", other, "open"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.TriggerEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := c.EngineStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CacheRestamped == 0 {
+		t.Error("cache_restamped = 0 over the wire after an irrelevant share")
 	}
 }

@@ -11,14 +11,19 @@ import (
 
 // This file is the versioned candidate store behind the pipelined arbiter:
 // Build results are cached per want-key and stamped with the catalog version
-// current when the build started. ShareDataset/UpdateDataset (through
-// MutateCatalog) and RegisterTransform bump the version, so a cached mashup
-// built against yesterday's catalog is detected — and rebuilt — rather than
-// served. Candidates are derived state: they are never logged or snapshotted,
-// which is what lets the engine build them on worker goroutines without
-// touching replay determinism (a valid cached set is byte-identical to what
-// an inline build of the same want at the same version would produce,
-// because Build is deterministic).
+// current when the build started. Every catalog mutation bumps the version,
+// so a cached mashup built against yesterday's catalog is detected — and
+// rebuilt — rather than served. UpdateDataset (through MutateCatalog) and
+// RegisterTransform invalidate every cached set. A share of a new dataset
+// (ShareIntoCatalog) invalidates only the sets the new dataset could enter:
+// every other set is re-stamped to the new version, because a fresh build of
+// its want would return exactly the same set. Candidates are derived state:
+// they are never logged or snapshotted, which is what lets the engine build
+// them on worker goroutines without touching replay determinism (a valid
+// cached set is byte-identical to what an inline build of the same want at
+// the same version would produce, because Build is deterministic). Like a
+// cache hit, a re-stamped set never reads through the quota-counting
+// Catalog.Get.
 
 // Key is the group key of a want: buyers with the same wanted columns share
 // one auction, so they share one cache slot. The arbiter groups requests by
@@ -63,7 +68,8 @@ type CandidateSet struct {
 	Candidates []Candidate
 	// Err carries the build failure, cached like a positive result so a
 	// hopeless want does not re-run the beam search every round — the next
-	// catalog change invalidates it like everything else.
+	// catalog change that could alter it invalidates it like everything
+	// else.
 	Err string
 	// BuildMillis is how long the build took (0 for cache hits).
 	BuildMillis float64
@@ -95,6 +101,9 @@ type CacheStats struct {
 	// Stale counts lookups that found an entry invalidated by a catalog
 	// version bump (the entry was rebuilt).
 	Stale uint64 `json:"stale"`
+	// Restamped counts cached sets carried across a share to the new
+	// catalog version because the shared dataset could not enter them.
+	Restamped uint64 `json:"restamped"`
 	// Misses counts lookups with no reusable entry.
 	Misses uint64 `json:"misses"`
 	// Builds counts beam searches actually run.
@@ -211,11 +220,13 @@ func (e *Engine) evictLocked() {
 func (e *Engine) CatalogVersion() uint64 { return e.version.Load() }
 
 // MutateCatalog runs a catalog/index mutation exclusively against in-flight
-// builds. The arbiter routes its index writes (ShareDataset, UpdateDataset)
-// through here so worker-goroutine builds never observe a half-applied
-// mutation. The closure reports whether it actually applied: only then is
-// the catalog version bumped (invalidating every cached candidate set) — a
-// rejected update must not flush the cache for a no-op.
+// builds. The arbiter routes UpdateDataset's writes through here so
+// worker-goroutine builds never observe a half-applied mutation. The closure
+// reports whether it actually applied: only then is the catalog version
+// bumped, invalidating every cached candidate set — a rejected update must
+// not flush the cache for a no-op. An update re-indexes a dataset that
+// cached sets may already use, and re-orders its join edges, so it cannot be
+// scoped the way ShareIntoCatalog scopes a share.
 func (e *Engine) MutateCatalog(mutate func() bool) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -223,6 +234,43 @@ func (e *Engine) MutateCatalog(mutate func() bool) uint64 {
 		return e.version.Add(1)
 	}
 	return e.version.Load()
+}
+
+// ShareIntoCatalog runs the indexing of a newly shared dataset id exclusively
+// against in-flight builds, like MutateCatalog, and bumps the version. It
+// then carries forward every cached set that was current before the share
+// and that the new dataset cannot enter: no column of id provides a wanted
+// column of the set's want (directly, by alias, by fuzzy name or through a
+// registered transform). Such a dataset is never seeded and never joined in,
+// and indexing it only appends join edges touching it, so a fresh build at
+// the new version returns exactly the cached set. The carried set is a
+// re-stamped copy, never an in-place write: a caller still holding the old
+// pointer sees it fail Valid and reaches the copy through BuildCached.
+// Nothing is carried when the index was empty (a set's "no datasets indexed"
+// failure would not survive a fresh build) or already held id (re-indexing
+// re-orders id's edges, as an update does).
+func (e *Engine) ShareIntoCatalog(id string, index func()) uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	old := e.version.Load()
+	carry := e.disc.Index().NumDatasets() > 0 && e.disc.Profile(id) == nil
+	index()
+	ver := e.version.Add(1)
+	if !carry {
+		return ver
+	}
+	e.cacheMu.Lock()
+	defer e.cacheMu.Unlock()
+	for key, cs := range e.cache {
+		if cs.Version != old || len(e.providersFor(id, cs.Want)) > 0 {
+			continue
+		}
+		carried := *cs
+		carried.Version = ver
+		e.cache[key] = &carried
+		e.restamped.Add(1)
+	}
+	return ver
 }
 
 // Valid reports whether a candidate set can be priced for the given want
@@ -241,6 +289,7 @@ func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{
 		Hits:             e.cacheHits.Load(),
 		Stale:            e.cacheStale.Load(),
+		Restamped:        e.restamped.Load(),
 		Misses:           e.cacheMisses.Load(),
 		Builds:           e.builds.Load(),
 		BuildMillis:      float64(e.buildNanos.Load()) / 1e6,

@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/profile"
+	"repro/internal/relation"
 )
 
 func TestWantKeyAndFingerprint(t *testing.T) {
@@ -30,15 +34,29 @@ func TestWantKeyAndFingerprint(t *testing.T) {
 // TestCandidateCacheTable is the hit/stale/invalidation table: each step
 // performs one cache interaction and asserts the counter it must move.
 func TestCandidateCacheTable(t *testing.T) {
-	_, eng := paperScenario(t)
+	cat, eng := paperScenario(t)
 	want := Want{Columns: []string{"a", "b"}}
 
+	// share indexes a new two-column dataset the way the arbiter does.
+	share := func(id string, cols ...string) uint64 {
+		rel := relation.New(id, relation.NewSchema(
+			relation.Col(cols[0], relation.KindInt), relation.Col(cols[1], relation.KindFloat)))
+		for i := 0; i < 50; i++ {
+			rel.MustAppend(relation.Int(int64(i)), relation.Float(float64(i)))
+		}
+		if err := cat.Register(catalog.DatasetID(id), "seller-"+id, rel); err != nil {
+			t.Fatal(err)
+		}
+		return eng.ShareIntoCatalog(id, func() { eng.disc.Index().Add(profile.Profile(id, rel)) })
+	}
+
 	steps := []struct {
-		name   string
-		run    func(t *testing.T)
-		hits   uint64
-		stale  uint64
-		misses uint64
+		name      string
+		run       func(t *testing.T)
+		hits      uint64
+		stale     uint64
+		misses    uint64
+		restamped uint64
 	}{
 		{
 			name: "cold build is a miss",
@@ -127,6 +145,40 @@ func TestCandidateCacheTable(t *testing.T) {
 			misses: 1,
 			hits:   1,
 		},
+		{
+			name: "irrelevant share is a hit at the new version",
+			run: func(t *testing.T) {
+				before := eng.BuildCached(context.Background(), want) // rebuilt after the transform
+				ver := share("s3", "memo", "grade")
+				if eng.Valid(before, want) {
+					t.Error("old pointer still valid after the share")
+				}
+				after := eng.BuildCached(context.Background(), want)
+				if after == before || after.Version != ver {
+					t.Errorf("got set %p at version %d, want a copy of %p at %d", after, after.Version, before, ver)
+				}
+				if len(after.Candidates) == 0 || &after.Candidates[0] != &before.Candidates[0] {
+					t.Error("re-stamped set does not carry the cached candidates")
+				}
+			},
+			stale:     1,
+			hits:      1,
+			restamped: 2, // want and the cached hopeless want
+		},
+		{
+			name: "relevant share is stale",
+			run: func(t *testing.T) {
+				before := eng.BuildCached(context.Background(), want)
+				ver := share("s4", "a", "b")
+				after := eng.BuildCached(context.Background(), want)
+				if after == before || after.Version != ver {
+					t.Errorf("got set at version %d, want a rebuild at %d", after.Version, ver)
+				}
+			},
+			hits:      1,
+			stale:     1,
+			restamped: 1, // the hopeless want only
+		},
 	}
 
 	for _, step := range steps {
@@ -142,6 +194,9 @@ func TestCandidateCacheTable(t *testing.T) {
 			}
 			if got := after.Misses - before.Misses; got != step.misses {
 				t.Errorf("misses moved %d, want %d", got, step.misses)
+			}
+			if got := after.Restamped - before.Restamped; got != step.restamped {
+				t.Errorf("restamped moved %d, want %d", got, step.restamped)
 			}
 		})
 	}

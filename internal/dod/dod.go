@@ -74,10 +74,24 @@ type Candidate struct {
 	Quality  float64
 	Datasets []string // contributing datasets, sorted
 	Plan     []string // human-readable build steps (transparency, §4.4)
+
+	// players is Anno.Datasets(), fixed when the candidate is built: a
+	// cached candidate is never modified, and it settles many sales.
+	players []string
 }
 
 // Rel is a shortcut to the materialized relation.
 func (c *Candidate) Rel() *relation.Relation { return c.Anno.Rel }
+
+// Players returns the sorted datasets appearing in the mashup's lineage —
+// the revenue-sharing players, empty when the mashup has no rows. Callers
+// must not modify the returned slice.
+func (c *Candidate) Players() []string {
+	if c.players == nil {
+		return c.Anno.Datasets()
+	}
+	return c.players
+}
 
 // providerMode ranks how a dataset column satisfies a wanted column.
 type providerMode int
@@ -122,8 +136,8 @@ type Engine struct {
 	disc *discovery.Engine
 
 	// mu is the build/mutate seam: builds hold it shared for their whole
-	// search+materialize, mutations (RegisterTransform, MutateCatalog) hold
-	// it exclusively and bump version when done.
+	// search+materialize, mutations (RegisterTransform, MutateCatalog,
+	// ShareIntoCatalog) hold it exclusively and bump version when done.
 	mu         sync.RWMutex
 	transforms map[transKey]*Transform
 	version    atomic.Uint64
@@ -134,6 +148,7 @@ type Engine struct {
 	cacheMax    int // MaxEntries bound; 0 = unlimited (guarded by cacheMu)
 	cacheHits   atomic.Uint64
 	cacheStale  atomic.Uint64
+	restamped   atomic.Uint64
 	cacheMisses atomic.Uint64
 	builds      atomic.Uint64
 	buildNanos  atomic.Int64
@@ -663,6 +678,7 @@ func (e *Engine) materialize(ctx context.Context, st *state, want Want, memo *su
 		Quality:  qualitySum / float64(len(want.Columns)),
 		Datasets: ds,
 		Plan:     plan,
+		players:  proj.Datasets(),
 	}, nil
 }
 

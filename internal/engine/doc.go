@@ -57,13 +57,18 @@
 // set is stamped with the version it was built against, and the price stage
 // re-validates at settlement time — a dataset updated between build and
 // price can never settle against its pre-update mashup; the round rebuilds
-// inline instead. Between epochs the pool speculatively re-warms the cache
-// for wants the last round left unmet. Candidates are derived state: they
-// are never logged or snapshotted, and a version-valid cached set is
-// identical to what an inline build would produce (Build is deterministic),
-// so none of this concurrency is visible to replay. Stats surfaces the
-// split: BuildMillis (cumulative build time, accounted to the builders),
-// CacheHits and CacheStale.
+// inline instead. Updates and transforms invalidate every cached set. A
+// share invalidates only the sets the new dataset could enter; the others
+// are re-stamped to the new version (a fresh build would return them
+// unchanged), so the build stage after a share of an unrelated dataset is
+// all cache hits. Like a hit, a re-stamped set never reads through the
+// quota-counting Catalog.Get. Between epochs the pool speculatively
+// re-warms the cache for wants the last round left unmet. Candidates are
+// derived state: they are never logged or snapshotted, and a version-valid
+// cached set is identical to what an inline build would produce (Build is
+// deterministic), so none of this concurrency is visible to replay. Stats
+// surfaces the split: BuildMillis (cumulative build time, accounted to the
+// builders), CacheHits, CacheStale and CacheRestamped.
 //
 // # Event log
 //

@@ -204,9 +204,12 @@ type Stats struct {
 	// only: like Shed it is not logged and not durable.
 	BuildMillis float64 `json:"build_millis,omitempty"`
 	// CacheHits / CacheStale count candidate-cache reuses and version
-	// invalidations in the DoD engine's versioned candidate store.
-	CacheHits  uint64 `json:"cache_hits,omitempty"`
-	CacheStale uint64 `json:"cache_stale,omitempty"`
+	// invalidations in the DoD engine's versioned candidate store;
+	// CacheRestamped counts cached sets a share carried to the new catalog
+	// version because the shared dataset could not enter them.
+	CacheHits      uint64 `json:"cache_hits,omitempty"`
+	CacheStale     uint64 `json:"cache_stale,omitempty"`
+	CacheRestamped uint64 `json:"cache_restamped,omitempty"`
 	// SubJoinHits counts join prefixes reused from the DoD engine's
 	// per-build sub-join memo during candidate materialization.
 	SubJoinHits uint64 `json:"subjoin_hits,omitempty"`
@@ -508,6 +511,7 @@ func (e *Engine) Stats() Stats {
 		BuildMillis:           cache.BuildMillis,
 		CacheHits:             cache.Hits,
 		CacheStale:            cache.Stale,
+		CacheRestamped:        cache.Restamped,
 		SubJoinHits:           cache.SubJoinHits,
 		BuildDeadlineExceeded: cache.DeadlineExceeded,
 		BuildsCancelled:       cache.Cancelled,

@@ -231,6 +231,9 @@ func RegisterSampledMetrics(reg *obs.Registry, engs []*Engine, outside func() (m
 		cache(func(c dod.CacheStats) uint64 { return c.Hits }))
 	reg.NewCounterFunc("dod_cache_stale_total", "Cache lookups invalidated by a catalog version bump.",
 		cache(func(c dod.CacheStats) uint64 { return c.Stale }))
+	reg.NewCounterFunc("dod_cache_restamped_total",
+		"Cached candidate sets carried to a new catalog version by a share they cannot enter.",
+		cache(func(c dod.CacheStats) uint64 { return c.Restamped }))
 	reg.NewCounterFunc("dod_cache_misses_total", "Cache lookups with no reusable entry.",
 		cache(func(c dod.CacheStats) uint64 { return c.Misses }))
 	reg.NewCounterFunc("dod_cache_evictions_total",

@@ -487,6 +487,7 @@ func (m *Market) Stats() engine.Stats {
 		agg.BuildMillis += s.BuildMillis
 		agg.CacheHits += s.CacheHits
 		agg.CacheStale += s.CacheStale
+		agg.CacheRestamped += s.CacheRestamped
 		agg.SubJoinHits += s.SubJoinHits
 		agg.BuildDeadlineExceeded += s.BuildDeadlineExceeded
 		agg.BuildsCancelled += s.BuildsCancelled

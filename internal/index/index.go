@@ -66,16 +66,19 @@ type Index struct {
 	profiles map[string]*profile.DatasetProfile
 	tokens   map[string][]ColRef // token -> columns mentioning it
 	edges    []JoinEdge
-	byCol    map[ColRef][]int // column -> edge indices
+	// byDataset lists, per dataset, the indices of the edges touching it in
+	// insertion order, so EdgesFor reads its own edges instead of scanning
+	// the graph, and edges appended for other datasets never reorder it.
+	byDataset map[string][]int
 }
 
 // Build constructs the index from the dataset profiles.
 func Build(cfg Config, profiles []*profile.DatasetProfile) *Index {
 	ix := &Index{
-		cfg:      cfg,
-		profiles: map[string]*profile.DatasetProfile{},
-		tokens:   map[string][]ColRef{},
-		byCol:    map[ColRef][]int{},
+		cfg:       cfg,
+		profiles:  map[string]*profile.DatasetProfile{},
+		tokens:    map[string][]ColRef{},
+		byDataset: map[string][]int{},
 	}
 	for _, dp := range profiles {
 		ix.profiles[dp.Dataset] = dp
@@ -123,11 +126,16 @@ func (ix *Index) remove(dataset string) {
 		}
 	}
 	ix.edges = kept
-	ix.byCol = map[ColRef][]int{}
+	ix.byDataset = map[string][]int{}
 	for i, e := range ix.edges {
-		ix.byCol[e.A] = append(ix.byCol[e.A], i)
-		ix.byCol[e.B] = append(ix.byCol[e.B], i)
+		ix.link(i, e)
 	}
+}
+
+// link records edge i in the adjacency lists of both its datasets.
+func (ix *Index) link(i int, e JoinEdge) {
+	ix.byDataset[e.A.Dataset] = append(ix.byDataset[e.A.Dataset], i)
+	ix.byDataset[e.B.Dataset] = append(ix.byDataset[e.B.Dataset], i)
 }
 
 func (ix *Index) allProfiles() []*profile.DatasetProfile {
@@ -293,10 +301,8 @@ func (ix *Index) tryEdge(a, b *profile.ColumnProfile) {
 		Jaccard:     j,
 		Containment: c,
 	}
-	i := len(ix.edges)
 	ix.edges = append(ix.edges, e)
-	ix.byCol[e.A] = append(ix.byCol[e.A], i)
-	ix.byCol[e.B] = append(ix.byCol[e.B], i)
+	ix.link(len(ix.edges)-1, e)
 }
 
 func kindsJoinable(a, b *profile.ColumnProfile) bool {
@@ -312,15 +318,20 @@ func (ix *Index) Edges() []JoinEdge {
 	return out
 }
 
-// EdgesFor returns the join edges touching any column of the dataset.
+// EdgesFor returns the join edges touching any column of the dataset, by
+// descending Jaccard with ties in insertion order. The order is stable under
+// growth: indexing another dataset only appends edges, so it can never
+// reorder the edges an earlier build of this dataset's neighbourhood saw.
 func (ix *Index) EdgesFor(dataset string) []JoinEdge {
-	var out []JoinEdge
-	for _, e := range ix.edges {
-		if e.A.Dataset == dataset || e.B.Dataset == dataset {
-			out = append(out, e)
-		}
+	idx := ix.byDataset[dataset]
+	if len(idx) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Jaccard > out[j].Jaccard })
+	out := make([]JoinEdge, len(idx))
+	for i, ei := range idx {
+		out[i] = ix.edges[ei]
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Jaccard > out[j].Jaccard })
 	return out
 }
 
@@ -352,6 +363,9 @@ func (ix *Index) Datasets() []string {
 	sort.Strings(out)
 	return out
 }
+
+// NumDatasets returns the number of indexed datasets.
+func (ix *Index) NumDatasets() int { return len(ix.profiles) }
 
 // NumEdges returns the size of the join graph.
 func (ix *Index) NumEdges() int { return len(ix.edges) }

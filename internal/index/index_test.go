@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/profile"
@@ -174,5 +175,81 @@ func TestEdgesFor(t *testing.T) {
 	}
 	if len(ix.EdgesFor("ghost")) != 0 {
 		t.Error("unknown dataset has no edges")
+	}
+}
+
+// keyTable is a dataset whose only column k holds offset..offset+99: tables
+// with the same offset join with Jaccard 1, so their edges tie.
+func keyTable(name, col string, offset int) *profile.DatasetProfile {
+	r := relation.New(name, relation.NewSchema(relation.Col(col, relation.KindInt)))
+	for i := 0; i < 100; i++ {
+		r.MustAppend(relation.Int(int64(offset + i)))
+	}
+	return profile.Profile(name, r)
+}
+
+// filterStable is the reference EdgesFor: every edge touching dataset, in
+// insertion order, stably sorted by descending Jaccard.
+func filterStable(ix *Index, dataset string) []JoinEdge {
+	var out []JoinEdge
+	for _, e := range ix.edges {
+		if e.A.Dataset == dataset || e.B.Dataset == dataset {
+			out = append(out, e)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Jaccard > out[j].Jaccard })
+	return out
+}
+
+// TestEdgesForStableUnderGrowth pins the ordering the DoD engine's cached
+// mashups depend on: indexing another dataset never reorders the edges of
+// an existing one, even past the 12 elements below which an unstable sort
+// happens to keep ties in place.
+func TestEdgesForStableUnderGrowth(t *testing.T) {
+	ix := Build(DefaultConfig(), nil)
+	ix.Add(keyTable("hub", "k", 0))
+	// Three overlap levels, interleaved, so the sort has to move edges and
+	// each level holds more than 12 ties on some dataset.
+	for i := 0; i < 24; i++ {
+		ix.Add(keyTable(fmt.Sprintf("spoke%02d", i), "k", []int{0, 30, 60}[i%3]))
+	}
+	if got := len(ix.EdgesFor("hub")); got != 24 {
+		t.Fatalf("hub has %d edges, want 24", got)
+	}
+	before := map[string][]JoinEdge{}
+	for _, d := range ix.Datasets() {
+		before[d] = ix.EdgesFor(d)
+	}
+	// A dataset that joins none of them, then one that joins all of them.
+	ix.Add(keyTable("island", "k", 5000))
+	ix.Add(keyTable("late", "k", 0))
+	for d, old := range before {
+		got := ix.EdgesFor(d)
+		if fmt.Sprint(got) != fmt.Sprint(filterStable(ix, d)) {
+			t.Errorf("EdgesFor(%s) differs from filter + stable sort", d)
+		}
+		var kept []JoinEdge
+		for _, e := range got {
+			if e.A.Dataset != "late" && e.B.Dataset != "late" {
+				kept = append(kept, e)
+			}
+		}
+		if len(got) != len(old)+1 {
+			t.Errorf("EdgesFor(%s): %d edges, want %d + the one to late", d, len(got), len(old))
+		}
+		if fmt.Sprint(kept) != fmt.Sprint(old) {
+			t.Errorf("EdgesFor(%s) reordered by edges of other datasets", d)
+		}
+	}
+	if len(ix.EdgesFor("island")) != 0 {
+		t.Error("island joins nothing")
+	}
+	// Re-indexing a dataset drops its edges and re-adds them; the others'
+	// lists are rebuilt in insertion order.
+	ix.Add(keyTable("spoke03", "k", 0))
+	for _, d := range ix.Datasets() {
+		if fmt.Sprint(ix.EdgesFor(d)) != fmt.Sprint(filterStable(ix, d)) {
+			t.Errorf("after re-index, EdgesFor(%s) differs from filter + stable sort", d)
+		}
 	}
 }

@@ -119,7 +119,14 @@ func (d *Design) RevenueFractionsCtx(anno *provenance.Annotated, owners map[stri
 	if anno == nil {
 		return nil
 	}
-	players := anno.Datasets()
+	return d.PlayerFractions(anno.Datasets(), anno, owners, vf, ctx)
+}
+
+// PlayerFractions is RevenueFractionsCtx over a player set the caller already
+// holds: players must be anno.Datasets(), computed once per mashup rather
+// than once per sale (a cached mashup settles many sales, and the set is a
+// scan over every row's lineage).
+func (d *Design) PlayerFractions(players []string, anno *provenance.Annotated, owners map[string]string, vf ValueFunc, ctx AllocContext) map[string]float64 {
 	if len(players) == 0 {
 		return nil
 	}
